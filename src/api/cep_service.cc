@@ -110,6 +110,8 @@ CepService::CepService(const ServiceOptions& options) : options_(options) {
         metrics_registry_->GetCounter(metric_names::kIngestBatches);
     restores_total_ =
         metrics_registry_->GetCounter(metric_names::kRestoresTotal);
+    ledger_live_entries_ =
+        metrics_registry_->GetGauge(metric_names::kIngestLedgerLiveEntries);
   }
 }
 

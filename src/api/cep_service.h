@@ -415,6 +415,8 @@ class CepService {
   std::unique_ptr<RetractionLedger> attached_ledger_;
   EventArena attached_arena_;
   Counter* restores_total_ = nullptr;  // null = metrics off
+  /// Live entries of attached_ledger_, set once per PumpAttachedSources.
+  Gauge* ledger_live_entries_ = nullptr;  // null = metrics off
   bool finished_ = false;
 };
 

@@ -23,7 +23,7 @@ namespace {
 /// Version of the service-level checkpoint payload (the section layout
 /// AROUND the per-engine blobs; those carry kEngineStateFormatVersion
 /// themselves). Bump on any layout change.
-constexpr uint32_t kServiceCheckpointVersion = 1;
+constexpr uint32_t kServiceCheckpointVersion = 2;
 
 /// Merge order of two source heads: earlier timestamp first, inserts
 /// before retractions at equal timestamps, remaining ties to the lower
@@ -117,10 +117,17 @@ StatusOr<size_t> CepService::PumpAttachedSources(size_t max_events) {
     }
     run.clear();
   };
+  auto observe_ledger = [&] {
+    if (ledger_live_entries_ != nullptr && attached_ledger_ != nullptr) {
+      ledger_live_entries_->Set(
+          static_cast<double>(attached_ledger_->live_entries()));
+    }
+  };
   // Returns with the run flushed so the valid merged prefix has been
   // evaluated even when the pump fails mid-way.
   auto fail = [&](Status status) {
     flush();
+    observe_ledger();
     return status;
   };
 
@@ -171,6 +178,7 @@ StatusOr<size_t> CepService::PumpAttachedSources(size_t max_events) {
     if (!refilled.ok()) return fail(std::move(refilled));
   }
   flush();
+  observe_ledger();
   return fed;
 }
 

@@ -1,12 +1,8 @@
 #ifndef CEPJOIN_EVENT_RETRACTION_LEDGER_H_
 #define CEPJOIN_EVENT_RETRACTION_LEDGER_H_
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <string>
-#include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -22,118 +18,88 @@ namespace cepjoin {
 /// CSV sources for input validation before serials exist.
 ///
 /// A retraction identifies its target by (type, partition, target_ts);
-/// the ledger maps that key to the stack of still-live serials carrying
-/// it. Duplicate keys (two live insertions of the same type, partition
-/// and timestamp) resolve last-in-first-out, which is deterministic and
-/// matches the "retract the most recent occurrence" reading; real
-/// streams with real-valued timestamps essentially never hit this case.
+/// the ledger resolves that key to the most recent still-live insertion
+/// carrying it. Duplicate keys (two live insertions of the same type,
+/// partition and timestamp) resolve last-in-first-out, which is
+/// deterministic and matches the "retract the most recent occurrence"
+/// reading; real streams with real-valued timestamps essentially never
+/// hit this case.
+///
+/// Layout: an append-only log of inserts in RecordInsert order — serial
+/// order for every owner that assigns serials — where a resolved entry
+/// is tombstoned in place, plus an open-addressing index from each live
+/// key to its newest entry; older live entries of the same key chain
+/// through `prev`. The log is compacted once tombstones outnumber live
+/// entries, so RecordInsert and Resolve stay amortized O(1) and the
+/// checkpoint encoding is one sequential pass over the log.
 class RetractionLedger {
  public:
+  /// Bytes SaveTo writes per live insertion.
+  static constexpr size_t kEntryBytes = 24;
+
   /// Registers a live insertion. Call with every polarity=+1 event, in
   /// stream order.
-  void RecordInsert(const Event& e) {
-    live_[Key(e.type, e.partition, e.ts)].push_back(e.serial);
-  }
+  void RecordInsert(const Event& e);
 
   /// Resolves a retraction against the live set: fills r->target_serial
   /// with the serial of the (most recent) live insertion of
   /// (r->type, r->partition, r->target_ts) and removes it from the
   /// ledger. Fails if no such insertion is live — i.e. it was never
   /// inserted, or was already retracted.
-  Status Resolve(Event* r) {
-    auto it = live_.find(Key(r->type, r->partition, r->target_ts));
-    if (it == live_.end() || it->second.empty()) {
-      return Status::InvalidArgument(
-          "retraction targets no live insertion (type " +
-          std::to_string(r->type) + ", partition " +
-          std::to_string(r->partition) + ", ts " +
-          std::to_string(r->target_ts) +
-          "): never inserted or already retracted");
-    }
-    r->target_serial = it->second.back();
-    it->second.pop_back();
-    if (it->second.empty()) live_.erase(it);
-    return Status::Ok();
-  }
+  Status Resolve(Event* r);
 
-  size_t live_keys() const { return live_.size(); }
+  /// Distinct (type, partition, ts) keys with at least one live insert.
+  size_t live_keys() const { return num_keys_; }
+  /// Live (inserted, not yet retracted) insertions.
+  size_t live_entries() const { return num_live_; }
 
-  /// Checkpoint support: canonical encoding — keys sorted by (type,
-  /// partition, ts bits), each stack written bottom-to-top so reload
-  /// preserves the LIFO resolution order exactly.
-  void SaveTo(SnapshotWriter* w) const {
-    std::vector<const std::pair<const KeyT, std::vector<EventSerial>>*> items;
-    items.reserve(live_.size());
-    for (const auto& entry : live_) items.push_back(&entry);
-    std::sort(items.begin(), items.end(), [](const auto* a, const auto* b) {
-      return std::tie(a->first.type, a->first.partition, a->first.ts_bits) <
-             std::tie(b->first.type, b->first.partition, b->first.ts_bits);
-    });
-    w->U64(items.size());
-    for (const auto* item : items) {
-      w->U32(static_cast<uint32_t>(item->first.type));
-      w->U32(item->first.partition);
-      w->U64(item->first.ts_bits);
-      w->U64(item->second.size());
-      for (EventSerial serial : item->second) w->U64(serial);
-    }
-  }
+  /// Checkpoint support: the live entries in log (serial) order, each
+  /// as (type, partition, ts bits, serial). Serial order is canonical,
+  /// so the bytes depend only on the live set, and reloading in the
+  /// same order rebuilds the same LIFO resolution order.
+  void SaveTo(SnapshotWriter* w) const;
 
   /// Replaces this ledger's state with a SaveTo encoding. Malformed
-  /// input latches on the reader; check r->status() after.
-  void LoadFrom(SnapshotReader* r) {
-    live_.clear();
-    uint64_t n = r->U64();
-    for (uint64_t i = 0; i < n && r->ok(); ++i) {
-      KeyT key;
-      key.type = static_cast<TypeId>(r->U32());
-      key.partition = r->U32();
-      key.ts_bits = r->U64();
-      uint64_t depth = r->U64();
-      std::vector<EventSerial> stack;
-      for (uint64_t j = 0; j < depth && r->ok(); ++j) {
-        stack.push_back(r->U64());
-      }
-      if (r->ok()) live_.emplace(key, std::move(stack));
-    }
-  }
+  /// input (truncation, an impossible count, serials not strictly
+  /// increasing) latches on the reader; check r->status() after.
+  void LoadFrom(SnapshotReader* r);
 
  private:
-  /// Timestamps key by exact bit pattern — a retraction must quote the
-  /// insertion's timestamp verbatim, never a recomputed approximation.
-  static uint64_t TsBits(Timestamp ts) {
-    uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(ts), "Timestamp must be 64-bit");
-    std::memcpy(&bits, &ts, sizeof(bits));
-    return bits;
-  }
-  struct KeyT {
+  /// Log positions are stored +1 so 0 can mean "none" in `prev` and in
+  /// the index; this caps the log at 2^32 - 1 entries.
+  static constexpr uint32_t kNone = 0;
+
+  struct Entry {
     TypeId type;
     uint32_t partition;
+    /// Timestamps key by exact bit pattern — a retraction must quote
+    /// the insertion's timestamp verbatim, never a recomputation.
     uint64_t ts_bits;
-    bool operator==(const KeyT& o) const {
-      return type == o.type && partition == o.partition &&
-             ts_bits == o.ts_bits;
-    }
+    EventSerial serial;
+    uint32_t prev;  // next-older live entry of the same key, or kNone
+    bool live;
   };
-  struct KeyHash {
-    size_t operator()(const KeyT& k) const {
-      uint64_t h = k.ts_bits;
-      h ^= (static_cast<uint64_t>(k.type) << 32) ^ k.partition;
-      // 64-bit mix (splitmix64 finalizer).
-      h ^= h >> 30;
-      h *= 0xbf58476d1ce4e5b9ULL;
-      h ^= h >> 27;
-      h *= 0x94d049bb133111ebULL;
-      h ^= h >> 31;
-      return static_cast<size_t>(h);
-    }
-  };
-  static KeyT Key(TypeId type, uint32_t partition, Timestamp ts) {
-    return KeyT{type, partition, TsBits(ts)};
-  }
 
-  std::unordered_map<KeyT, std::vector<EventSerial>, KeyHash> live_;
+  /// Index slot holding the key's newest live entry, or the empty slot
+  /// where it would go. Requires a non-empty index.
+  size_t FindSlot(TypeId type, uint32_t partition, uint64_t ts_bits) const;
+  /// Empties slot `i`, shifting later probe-chain members back so every
+  /// lookup still reaches its key without tombstone slots.
+  void EraseSlot(size_t i);
+  /// Rebuilds the index and the `prev` chains from the live entries of
+  /// the log, in log order, sized so up to `max_keys` keys load it at
+  /// most 1/2.
+  void Reindex(size_t max_keys);
+  /// Drops tombstones from the log, then reindexes.
+  void Compact();
+
+  std::vector<Entry> log_;
+  /// Open-addressing (linear probing) index: log position + 1 of each
+  /// live key's newest entry, kNone for an empty slot. Power-of-two
+  /// size; empty until the first insert.
+  std::vector<uint32_t> slots_;
+  size_t num_keys_ = 0;
+  size_t num_live_ = 0;
 };
 
 }  // namespace cepjoin

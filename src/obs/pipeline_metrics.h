@@ -43,6 +43,8 @@ inline constexpr char kLastPosition[] = "cep_query_last_position";
 inline constexpr char kStageSeconds[] = "cep_stage_seconds";
 inline constexpr char kIngestSourceRetries[] =
     "cep_ingest_source_retries_total";
+inline constexpr char kIngestLedgerLiveEntries[] =
+    "cep_ingest_ledger_live_entries";
 inline constexpr char kCheckpointsTotal[] = "cep_checkpoints_total";
 inline constexpr char kCheckpointFailures[] = "cep_checkpoint_failures_total";
 inline constexpr char kCheckpointsSkipped[] = "cep_checkpoints_skipped_total";

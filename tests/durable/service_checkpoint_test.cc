@@ -24,7 +24,9 @@
 #include "durable/checkpoint_coordinator.h"
 #include "durable/checkpoint_store.h"
 #include "durable/fault_injector.h"
+#include "durable/snapshot_codec.h"
 #include "durable/snapshot_io.h"
+#include "event/partition_sequencer.h"
 #include "event/stream_source.h"
 #include "workload/keyed_generator.h"
 
@@ -290,6 +292,45 @@ TEST_F(ServiceCheckpointTest, MismatchedRegistrationIsFailedPrecondition) {
   auto report = service->RestoreFrom(dir);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST_F(ServiceCheckpointTest, VersionOnePayloadIsDataLoss) {
+  // A well-formed checkpoint in the version-1 layout, whose ledger was
+  // a sorted list of per-key serial stacks: restore must refuse it by
+  // version instead of misreading the ledger section.
+  DeltaWorkload workload = MakeDeltaWorkload(5);
+  const std::string dir = FreshDir("v1");
+  EngineStateWriter outer;
+  SnapshotWriter& p = outer.payload();
+  p.U32(1);  // payload version
+  p.U64(2);  // queries ever registered
+  p.U8(0);   // single-threaded host
+  p.U8(1);   // attached-source state follows
+  p.U64(1);  // next merge serial
+  PartitionSequencer().SaveTo(&p);
+  p.U8(1);   // ledger present: one key, (type, partition, ts bits),
+  p.U64(1);  // a stack of depth 1 holding serial 0
+  p.U32(0);
+  p.U32(0);
+  p.U64(0);
+  p.U64(1);
+  p.U64(0);
+  p.U64(1);  // one attached source: positional, offset 0, not exhausted
+  p.U8(1);
+  p.U64(0);
+  p.U8(0);
+  p.U64(0);  // no query sections
+  {
+    CheckpointStore store(dir);
+    ASSERT_TRUE(store.Open().ok());
+    ASSERT_TRUE(store.WriteCheckpoint(outer.Finish()).ok());
+  }
+  Session s = MakeSession(workload, 1);
+  auto report = s.service->RestoreFrom(dir);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(report.status().message().find("version 1"), std::string::npos)
+      << report.status().message();
 }
 
 TEST_F(ServiceCheckpointTest, CorruptNewestCheckpointFallsBackAndReplays) {

@@ -310,6 +310,55 @@ TEST(ServiceMetricsTest, DisabledMetricsYieldAnEmptySnapshot) {
   EXPECT_GT(sink.matches.size(), 0u);  // evaluation unaffected
 }
 
+TEST(ServiceMetricsTest, LedgerGaugeCountsLiveAttachedInserts) {
+  KeyedWorkload workload = MakeKeyedWorkload(4, 1.0, 23);
+  // Delta copy of the stream: every 4th insert is retracted right after
+  // it occurs.
+  EventStream delta;
+  delta.EnableRetractions();
+  std::vector<size_t> live_after;  // expected gauge after each event
+  size_t live = 0;
+  size_t index = 0;
+  for (const EventPtr& e : workload.stream.events()) {
+    Event insert = *e;
+    insert.serial = 0;
+    insert.partition_seq = 0;
+    delta.Append(insert);
+    live_after.push_back(++live);
+    if (index++ % 4 != 0) continue;
+    Event retraction = insert;
+    retraction.polarity = -1;
+    retraction.target_ts = insert.ts;
+    delta.Append(retraction);
+    live_after.push_back(--live);
+  }
+
+  ServiceOptions options;
+  options.history = &workload.stream;
+  options.num_types = workload.registry.size();
+  auto service = CepService::Create(options).value();
+  CountingSink sink;
+  const SimplePattern pattern = workload.pattern.WithDeltaInput();
+  ASSERT_TRUE(
+      service->Register(QuerySpec::Simple(pattern).Keyed().WithSink(&sink))
+          .ok());
+  ASSERT_TRUE(
+      service->AttachSource(std::make_unique<EventStreamSource>(&delta)).ok());
+  size_t fed = 0;
+  for (size_t chunk : {size_t{1}, size_t{6}, size_t{100}, delta.size()}) {
+    auto pumped = service->PumpAttachedSources(chunk);
+    ASSERT_TRUE(pumped.ok());
+    fed += pumped.value();
+    ASSERT_GT(fed, 0u);
+    EXPECT_EQ(service->MetricsSnapshot().Value(
+                  metric_names::kIngestLedgerLiveEntries),
+              static_cast<double>(live_after[fed - 1]))
+        << "after " << fed << " events";
+  }
+  EXPECT_EQ(fed, delta.size());
+  service->Finish();
+}
+
 TEST(ServiceMetricsTest, SnapshotExportsCleanly) {
   KeyedWorkload workload = MakeKeyedWorkload(6, 1.5, 19);
   ServiceOptions options;
