@@ -9,9 +9,17 @@
 // The per-query match count is the built-in correctness check: every
 // row must report the same value (each query's match set is independent
 // of how many neighbors share the service and of the thread count).
+//
+// The N tenants register identical specs, so the service serves them
+// from one engine set (cross-tenant sharing) while the independent side
+// runs N. In Release runs with CEPJOIN_BENCH_ASSERT=1 the process exits
+// 1 unless the shared/independent speedup is >= 1.0 on every row with
+// more than one tenant, at every thread count. (One tenant has nothing
+// to share; its row measures the same work twice and stays report-only.)
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -103,6 +111,7 @@ int main(int argc, char** argv) {
               workload.stream.size(), kPartitions,
               workload.pattern.Describe(&workload.registry).c_str());
 
+  bool speedup_ok = true;
   std::printf("%-8s %-8s %-12s %-14s %-12s %-12s %s\n", "queries", "threads",
               "shared s", "indep s", "speedup", "q-ev/s",
               "matches/query");
@@ -127,6 +136,14 @@ int main(int argc, char** argv) {
       double speedup = shared.wall_seconds > 0
                            ? independent.wall_seconds / shared.wall_seconds
                            : 0.0;
+      if (queries > 1 && speedup < 1.0) {
+        std::fprintf(stderr,
+                     "SHARING REGRESSION: %zu identical tenants on %zu "
+                     "threads run at %.2fx N independent runtimes (gate: "
+                     ">= 1.0)\n",
+                     queries, threads, speedup);
+        speedup_ok = false;
+      }
       std::printf("%-8zu %-8zu %-12.3f %-14.3f %-12.2f %-12.0f %llu\n",
                   queries, threads, shared.wall_seconds,
                   independent.wall_seconds, speedup, query_event_rate,
@@ -149,5 +166,11 @@ int main(int argc, char** argv) {
       "\n(speedup = independent wall / shared wall at equal query and "
       "thread counts; matches/query must be identical on every row)\n");
   if (!bench::WriteBenchJson(json_path)) return 1;
+#ifdef NDEBUG
+  const char* assert_env = std::getenv("CEPJOIN_BENCH_ASSERT");
+  if (!speedup_ok && assert_env != nullptr && assert_env[0] == '1') return 1;
+#else
+  (void)speedup_ok;  // report-only outside Release
+#endif
   return 0;
 }

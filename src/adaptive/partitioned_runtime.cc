@@ -23,6 +23,30 @@ PartitionedRuntime::PartitionedRuntime(const SimplePattern& pattern,
   CEPJOIN_CHECK_GE(batch_size_, 1u) << "batch_size must be >= 1";
 }
 
+PartitionedRuntime::PartitionedRuntime(PartitionPlanner planner,
+                                       MatchSink* sink, size_t batch_size)
+    : planner_(std::move(planner)), sink_(sink), batch_size_(batch_size) {
+  CEPJOIN_CHECK(sink_ != nullptr);
+}
+
+StatusOr<std::unique_ptr<PartitionedRuntime>> PartitionedRuntime::CloneInto(
+    MatchSink* sink) const {
+  if (finished_) {
+    return Status::FailedPrecondition(
+        "CloneInto after Finish: the engines have been released");
+  }
+  std::unique_ptr<PartitionedRuntime> clone(
+      new PartitionedRuntime(planner_, sink, batch_size_));
+  for (const auto& [partition, state] : engines_) {
+    PartitionState copy;
+    copy.plan = state.plan;
+    copy.engine = planner_.BuildEngineFor(copy.plan, sink);
+    CEPJOIN_RETURN_IF_ERROR(CopyEngineState(*state.engine, copy.engine.get()));
+    clone->engines_.emplace(partition, std::move(copy));
+  }
+  return clone;
+}
+
 PartitionedRuntime::PartitionState& PartitionedRuntime::StateFor(
     uint32_t partition) {
   auto it = engines_.find(partition);

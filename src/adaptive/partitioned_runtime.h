@@ -82,6 +82,15 @@ class PartitionedRuntime {
   /// a freshly constructed runtime, once per saved partition.
   Status LoadPartitionState(uint32_t partition, const std::string& blob);
 
+  /// A copy of this runtime whose partition engines hold exactly the
+  /// current engines' state (SaveState -> LoadState through the snapshot
+  /// codec) and emit to `sink`: finishing the copy flushes what this
+  /// runtime would flush if it finished now, while this runtime keeps
+  /// running. How a member leaves a shared query group. FailedPrecondition
+  /// after Finish().
+  StatusOr<std::unique_ptr<PartitionedRuntime>> CloneInto(
+      MatchSink* sink) const;
+
   /// Visits every live partition engine as fn(partition, engine). The
   /// observability layer uses this to read exact per-partition memory
   /// footprints (Engine::counters().CurrentBytes()) at snapshot time.
@@ -98,6 +107,8 @@ class PartitionedRuntime {
     std::unique_ptr<Engine> engine;
   };
 
+  PartitionedRuntime(PartitionPlanner planner, MatchSink* sink,
+                     size_t batch_size);
   PartitionState& StateFor(uint32_t partition);
 
   PartitionPlanner planner_;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "durable/snapshot_codec.h"
 #include "obs/stage_timer.h"
 #include "optimizer/registry.h"
 #include "runtime/output_profiler.h"
@@ -112,6 +113,8 @@ CepService::CepService(const ServiceOptions& options) : options_(options) {
         metrics_registry_->GetCounter(metric_names::kRestoresTotal);
     ledger_live_entries_ =
         metrics_registry_->GetGauge(metric_names::kIngestLedgerLiveEntries);
+    shared_registrations_gauge_ = metrics_registry_->GetGauge(
+        metric_names::kServiceSharedRegistrations);
   }
 }
 
@@ -243,12 +246,111 @@ Status CepService::ValidateSpec(const QuerySpec& spec) const {
   return Status::Ok();
 }
 
+CepService::ShareKey CepService::ShareKey::Of(const QuerySpec& spec,
+                                             uint64_t seed) {
+  ShareKey key;
+  if (spec.simple().has_value() && !spec.stats().has_value()) {
+    key.pattern = *spec.simple();
+  }
+  key.algorithm = spec.algorithm();
+  key.seed = seed;
+  key.latency_alpha = spec.latency_alpha();
+  key.keyed = spec.keyed();
+  return key;
+}
+
+bool CepService::ShareKey::SharesWith(const ShareKey& other) const {
+  return pattern.has_value() && other.pattern.has_value() &&
+         keyed == other.keyed && algorithm == other.algorithm &&
+         seed == other.seed && latency_alpha == other.latency_alpha &&
+         SamePattern(*pattern, *other.pattern);
+}
+
+CepService::QueryGroup* CepService::FindJoinableGroup(const ShareKey& key) {
+  if (!key.pattern.has_value()) return nullptr;
+  // Groups form in id order and feed_epoch_ only grows, so the joinable
+  // ones are a suffix of groups_.
+  for (auto it = groups_.rbegin(); it != groups_.rend(); ++it) {
+    QueryGroup& group = it->second;
+    if (group.formed_at != feed_epoch_) break;
+    if (!group.members.empty() && group.key.SharesWith(key)) return &group;
+  }
+  return nullptr;
+}
+
+Status CepService::FormGroup(uint64_t id, const QuerySpec& spec, ShareKey key,
+                             QueryState& state) {
+  // Built in place: the engines keep a pointer to the group's fan-out,
+  // so the group must sit at its final (std::map node) address first.
+  QueryGroup& group = groups_[id];
+  group.key = std::move(key);
+  const uint64_t seed = group.key.seed;
+  group.formed_at = feed_epoch_;
+  if (spec.keyed()) {
+    if (options_.num_threads == 1) {
+      group.partitioned = std::make_unique<PartitionedRuntime>(
+          *spec.simple(), *options_.history, options_.num_types,
+          spec.algorithm(), &group.fanout, seed, spec.latency_alpha(),
+          options_.batch_size);
+      return Status::Ok();
+    }
+    auto planner = std::make_unique<PartitionPlanner>(
+        *spec.simple(), *options_.history, options_.num_types,
+        spec.algorithm(), seed, spec.latency_alpha());
+    if (sharded_ == nullptr) {
+      ShardedOptions sharded_options;
+      sharded_options.num_threads = options_.num_threads;
+      sharded_options.batch_size = options_.batch_size;
+      sharded_options.metrics = metrics_registry_.get();
+      sharded_ = std::make_unique<ShardedRuntime>(sharded_options);
+    }
+    // The shard sinks record through the shared bundle themselves; the
+    // query's raw sink receives the drained matches unwrapped.
+    StatusOr<uint64_t> sharded_id = sharded_->AddQuery(
+        std::move(planner), state.sink, state.metrics.get());
+    if (!sharded_id.ok()) return sharded_id.status();
+    state.sharded_id = *sharded_id;
+    state.uses_sharded = true;
+    group.sharded = true;
+    return Status::Ok();
+  }
+  // Unkeyed: one plan and engine per DNF subpattern (a simple pattern is
+  // its own single subpattern), fed inline on the ingest thread.
+  if (spec.simple().has_value()) {
+    group.subpatterns = {*spec.simple()};
+  } else {
+    group.subpatterns = ToDnf(*spec.nested());
+    if (group.subpatterns.empty()) {
+      return Status::InvalidArgument(SpecLabel(spec) +
+                                     " nested pattern has no DNF "
+                                     "alternatives");
+    }
+  }
+  for (const SimplePattern& sub : group.subpatterns) {
+    PatternStats stats = spec.stats().has_value()
+                             ? *spec.stats()
+                             : EffectiveCollector()->CollectForPattern(sub);
+    CostFunction cost = MakeCostFunction(sub, stats, spec.latency_alpha());
+    StatusOr<EnginePlan> plan = MakePlan(spec.algorithm(), cost, seed);
+    if (!plan.ok()) return plan.status();
+    group.plans.push_back(std::move(plan).value());
+  }
+  group.engine =
+      group.subpatterns.size() == 1
+          ? BuildEngine(group.subpatterns[0], group.plans[0], &group.fanout)
+          : BuildDnfEngine(group.subpatterns, group.plans, &group.fanout);
+  return Status::Ok();
+}
+
 StatusOr<QueryHandle> CepService::Register(const QuerySpec& spec) {
   if (finished_) {
     return Status::FailedPrecondition("Register after Finish");
   }
   CEPJOIN_RETURN_IF_ERROR(ValidateSpec(spec));
 
+  // next_id_ is only advanced on success, so the id (and the metrics
+  // label below) matches the handle's.
+  const uint64_t id = next_id_;
   QueryState state;
   state.name = spec.name();
   state.keyed = spec.keyed();
@@ -258,102 +360,86 @@ StatusOr<QueryHandle> CepService::Register(const QuerySpec& spec) {
   } else {
     state.sink = spec.sink();
   }
-  uint64_t seed = spec.seed().value_or(options_.default_seed);
+  state.inline_sink = state.sink;
+  const uint64_t seed = spec.seed().value_or(options_.default_seed);
 
-  MatchSink* inline_sink = state.sink;
   if (metrics_registry_ != nullptr) {
-    // One bundle per query, labelled by the (never reused) id —
-    // next_id_ is only advanced on success, so the label matches the
-    // handle's id. A user-given name rides along as a second label.
-    MetricLabels labels{{"query", std::to_string(next_id_)}};
+    // One bundle per query, labelled by the (never reused) id. A
+    // user-given name rides along as a second label.
+    MetricLabels labels{{"query", std::to_string(id)}};
     if (!spec.name().empty()) labels.emplace_back("name", spec.name());
     state.metrics = std::make_unique<QueryMetrics>(metrics_registry_.get(),
                                                    std::move(labels));
     state.metrics_sink = std::make_unique<MatchMetricsSink>(
         state.sink, state.metrics.get(), &inline_batch_start_);
-    inline_sink = state.metrics_sink.get();
+    state.inline_sink = state.metrics_sink.get();
   }
 
-  if (spec.keyed()) {
-    if (options_.num_threads == 1) {
-      state.partitioned = std::make_unique<PartitionedRuntime>(
-          *spec.simple(), *options_.history, options_.num_types,
-          spec.algorithm(), inline_sink, seed, spec.latency_alpha(),
-          options_.batch_size);
-    } else {
-      auto planner = std::make_unique<PartitionPlanner>(
-          *spec.simple(), *options_.history, options_.num_types,
-          spec.algorithm(), seed, spec.latency_alpha());
-      if (sharded_ == nullptr) {
-        ShardedOptions sharded_options;
-        sharded_options.num_threads = options_.num_threads;
-        sharded_options.batch_size = options_.batch_size;
-        sharded_options.metrics = metrics_registry_.get();
-        sharded_ = std::make_unique<ShardedRuntime>(sharded_options);
-      }
-      // The shard sinks record through the shared bundle themselves;
-      // the query's raw sink receives the drained matches unwrapped.
-      StatusOr<uint64_t> sharded_id =
-          sharded_->AddQuery(std::move(planner), state.sink,
-                             state.metrics.get());
+  ShareKey key = ShareKey::Of(spec, seed);
+  if (QueryGroup* group = FindJoinableGroup(key)) {
+    // Same plan, same events, same matches: serve this registration from
+    // the group's engines (README "Cross-tenant sharing").
+    if (group->sharded) {
+      StatusOr<uint64_t> sharded_id = sharded_->JoinQuery(
+          group->members.front()->sharded_id, state.sink, state.metrics.get());
       if (!sharded_id.ok()) return sharded_id.status();
       state.sharded_id = *sharded_id;
       state.uses_sharded = true;
     }
+    state.group = group->members.front()->group;
+    ++shared_registrations_;
   } else {
-    // Unkeyed: one plan and engine per DNF subpattern (a simple pattern
-    // is its own single subpattern), fed inline on the ingest thread.
-    if (spec.simple().has_value()) {
-      state.subpatterns = {*spec.simple()};
-    } else {
-      state.subpatterns = ToDnf(*spec.nested());
-      if (state.subpatterns.empty()) {
-        return Status::InvalidArgument(SpecLabel(spec) +
-                                       " nested pattern has no DNF "
-                                       "alternatives");
-      }
+    Status formed = FormGroup(id, spec, std::move(key), state);
+    if (!formed.ok()) {
+      groups_.erase(id);
+      return formed;
     }
-    for (const SimplePattern& sub : state.subpatterns) {
-      PatternStats stats = spec.stats().has_value()
-                               ? *spec.stats()
-                               : EffectiveCollector()->CollectForPattern(sub);
-      CostFunction cost = MakeCostFunction(sub, stats, spec.latency_alpha());
-      StatusOr<EnginePlan> plan = MakePlan(spec.algorithm(), cost, seed);
-      if (!plan.ok()) return plan.status();
-      state.plans.push_back(std::move(plan).value());
-    }
-    state.engine =
-        state.subpatterns.size() == 1
-            ? BuildEngine(state.subpatterns[0], state.plans[0], inline_sink)
-            : BuildDnfEngine(state.subpatterns, state.plans, inline_sink);
+    state.group = id;
   }
 
   state.active = true;
-  uint64_t id = next_id_++;
-  queries_.emplace(id, std::move(state));
+  ++next_id_;
+  QueryState& stored = queries_.emplace(id, std::move(state)).first->second;
+  groups_.at(stored.group).members.push_back(&stored);
   RebuildInlineFeeds();
   return QueryHandle(this, id);
 }
 
 void CepService::RebuildInlineFeeds() {
   inline_feeds_.clear();
-  for (auto& [id, state] : queries_) {
-    if (state.active && !state.uses_sharded) inline_feeds_.push_back(&state);
+  for (auto& [id, group] : groups_) {
+    group.fanout.sinks.clear();
+    for (QueryState* member : group.members) {
+      group.fanout.sinks.push_back(member->inline_sink);
+    }
+    if (!group.members.empty() && !group.sharded) {
+      inline_feeds_.push_back(&group);
+    }
+  }
+  if (shared_registrations_gauge_ != nullptr) {
+    shared_registrations_gauge_->Set(
+        static_cast<double>(shared_registrations_));
   }
 }
 
+const PartitionedRuntime* CepService::PartitionedOf(
+    const QueryState& state) const {
+  if (state.departed != nullptr) return state.departed.get();
+  return groups_.at(state.group).partitioned.get();
+}
+
 void CepService::SyncInlineKernelCounters(QueryState& state) {
-  if (state.metrics == nullptr) return;
+  if (state.metrics == nullptr || state.uses_sharded) return;
   EngineCounters current;
   if (!state.keyed) {
-    // While the engine lives, read it; afterwards the final snapshot in
-    // state.counters keeps the totals exact.
-    current = state.engine != nullptr ? state.engine->counters()
-                                      : state.counters;
-  } else if (state.partitioned != nullptr) {
-    current = state.partitioned->TotalCounters();
+    // While it is fed, read its group's engine; afterwards the final
+    // snapshot in state.counters keeps the totals exact.
+    const QueryGroup& group = groups_.at(state.group);
+    current = state.active && group.engine != nullptr
+                  ? group.engine->counters()
+                  : state.counters;
   } else {
-    return;  // sharded: the workers sync their own engines' deltas
+    current = PartitionedOf(state)->TotalCounters();
   }
   SyncCounterDelta(state.metrics->instance_kernel_lanes,
                    current.instance_kernel_lanes,
@@ -366,31 +452,60 @@ void CepService::SyncInlineKernelCounters(QueryState& state) {
                    &state.retractions_reported);
 }
 
-void CepService::FinishInlineQuery(QueryState& state) {
+void CepService::FinishInlineGroup(QueryGroup& group) {
   // Finish-time matches have no ingest anchor; zero it so the metrics
-  // sink skips the ingest-to-match histogram for them.
+  // sinks skip the ingest-to-match histogram for them.
   inline_batch_start_ = {};
-  if (state.engine != nullptr) {
-    state.engine->Finish();
-    // Retired queries release their engines (and their buffered
-    // windows) right away; the counters snapshot keeps serving
+  QueryMetrics* owner = group.members.front()->metrics.get();
+  if (group.engine != nullptr) {
+    group.engine->Finish();
+    // Retired groups release their engines (and their buffered
+    // windows) right away; the counters snapshots keep serving
     // counters(), and the partitioned runtime's plan map keeps backing
     // num_partitions()/PlanFor().
-    state.counters = state.engine->counters();
-    state.engine.reset();
+    for (QueryState* member : group.members) {
+      member->counters = group.engine->counters();
+    }
+    group.engine.reset();
     // The released engine's footprint is gone; say so.
-    if (state.metrics != nullptr) state.metrics->MemoryGauge()->Set(0.0);
-  } else if (state.partitioned != nullptr) {
-    state.partitioned->Finish();  // releases the partition engines
-    if (state.metrics != nullptr) {
-      for (uint32_t partition : state.partitioned->Partitions()) {
-        state.metrics->MemoryGauge(partition)->Set(0.0);
+    if (owner != nullptr) owner->MemoryGauge()->Set(0.0);
+  } else if (group.partitioned != nullptr) {
+    group.partitioned->Finish();  // releases the partition engines
+    if (owner != nullptr) {
+      for (uint32_t partition : group.partitioned->Partitions()) {
+        owner->MemoryGauge(partition)->Set(0.0);
       }
     }
   }
   // Fold in kernel work since the last snapshot (TotalCounters serves
   // the Finish-time snapshot for released partition engines).
-  SyncInlineKernelCounters(state);
+  for (QueryState* member : group.members) SyncInlineKernelCounters(*member);
+}
+
+Status CepService::DetachInlineMember(QueryGroup& group, QueryState& state) {
+  inline_batch_start_ = {};
+  const bool owner =
+      state.metrics != nullptr && &state == group.members.front();
+  if (!state.keyed) {
+    std::unique_ptr<Engine> clone =
+        BuildEngine(group.subpatterns[0], group.plans[0], state.inline_sink);
+    CEPJOIN_RETURN_IF_ERROR(CopyEngineState(*group.engine, clone.get()));
+    clone->Finish();
+    state.counters = clone->counters();
+    if (owner) state.metrics->MemoryGauge()->Set(0.0);
+    return Status::Ok();
+  }
+  StatusOr<std::unique_ptr<PartitionedRuntime>> clone =
+      group.partitioned->CloneInto(state.inline_sink);
+  if (!clone.ok()) return clone.status();
+  state.departed = std::move(clone).value();
+  state.departed->Finish();
+  if (owner) {
+    for (uint32_t partition : state.departed->Partitions()) {
+      state.metrics->MemoryGauge(partition)->Set(0.0);
+    }
+  }
+  return Status::Ok();
 }
 
 Status CepService::Deregister(uint64_t query_id) {
@@ -406,26 +521,39 @@ Status CepService::Deregister(uint64_t query_id) {
     return Status::FailedPrecondition("query " + std::to_string(query_id) +
                                       " already deregistered");
   }
+  QueryGroup& group = groups_.at(state.group);
+  const bool shared = group.members.size() > 1;
   if (state.uses_sharded) {
     CEPJOIN_RETURN_IF_ERROR(sharded_->RemoveQuery(state.sharded_id));
+  } else if (shared) {
+    CEPJOIN_RETURN_IF_ERROR(DetachInlineMember(group, state));
   } else {
-    FinishInlineQuery(state);
+    FinishInlineGroup(group);
   }
   state.active = false;
+  if (shared) {
+    SyncInlineKernelCounters(state);
+    --shared_registrations_;
+  }
+  group.members.erase(
+      std::find(group.members.begin(), group.members.end(), &state));
   RebuildInlineFeeds();
   return Status::Ok();
 }
 
 void CepService::FeedInline(const EventPtr* events, size_t n) {
+  if (n > 0) ++feed_epoch_;
   if (metrics_registry_ != nullptr && !inline_feeds_.empty()) {
     inline_batch_start_ = std::chrono::steady_clock::now();
   }
-  for (QueryState* state : inline_feeds_) {
-    if (state->metrics != nullptr) state->metrics->events_total->Inc(n);
-    if (state->engine != nullptr) {
-      state->engine->OnBatch(events, n);
+  for (QueryGroup* group : inline_feeds_) {
+    for (QueryState* member : group->members) {
+      if (member->metrics != nullptr) member->metrics->events_total->Inc(n);
+    }
+    if (group->engine != nullptr) {
+      group->engine->OnBatch(events, n);
     } else {
-      state->partitioned->OnBatch(events, n);
+      group->partitioned->OnBatch(events, n);
     }
   }
 }
@@ -491,12 +619,14 @@ IngestResult CepService::ProcessSourceAsync(
 void CepService::Finish() {
   if (finished_) return;
   finished_ = true;
-  for (auto& [id, state] : queries_) {
-    if (!state.active) continue;
-    if (!state.uses_sharded) FinishInlineQuery(state);
-    state.active = false;
+  for (auto& [id, group] : groups_) {
+    if (group.members.empty()) continue;
+    if (!group.sharded) FinishInlineGroup(group);
+    for (QueryState* member : group.members) member->active = false;
+    group.members.clear();
   }
-  inline_feeds_.clear();
+  shared_registrations_ = 0;
+  RebuildInlineFeeds();
   // Joins the workers and drains every sharded query's buffered matches
   // (including mid-stream deregistered ones) to its sink.
   if (sharded_ != nullptr) sharded_->Finish();
@@ -506,24 +636,25 @@ cepjoin::MetricsSnapshot CepService::MetricsSnapshot() {
   if (metrics_registry_ == nullptr) return {};
   // Refresh the snapshot-time gauges: exact memory of the inline-fed
   // hosts (sharded workers keep their partitions' gauges current on
-  // their own threads) and each query's dominant last position.
-  for (auto& entry : queries_) {
-    QueryState& state = entry.second;
-    if (state.metrics == nullptr) continue;
-    if (!state.keyed) {
-      double bytes =
-          state.engine != nullptr
-              ? static_cast<double>(state.engine->counters().CurrentBytes())
-              : 0.0;
-      state.metrics->MemoryGauge()->Set(bytes);
-    } else if (state.partitioned != nullptr) {
-      QueryMetrics* metrics = state.metrics.get();
-      state.partitioned->ForEachPartition(
-          [metrics](uint32_t partition, const Engine& engine) {
-            metrics->MemoryGauge(partition)->Set(
+  // their own threads), counted once per group under its lowest active
+  // member, and each query's dominant last position.
+  for (QueryGroup* group : inline_feeds_) {
+    QueryMetrics* owner = group->members.front()->metrics.get();
+    if (owner == nullptr) continue;
+    if (group->engine != nullptr) {
+      owner->MemoryGauge()->Set(
+          static_cast<double>(group->engine->counters().CurrentBytes()));
+    } else {
+      group->partitioned->ForEachPartition(
+          [owner](uint32_t partition, const Engine& engine) {
+            owner->MemoryGauge(partition)->Set(
                 static_cast<double>(engine.counters().CurrentBytes()));
           });
     }
+  }
+  for (auto& entry : queries_) {
+    QueryState& state = entry.second;
+    if (state.metrics == nullptr) continue;
     SyncInlineKernelCounters(state);
     int best = OutputProfiler::MostFrequent(state.metrics->LastPositionCounts());
     if (best >= 0) {
@@ -573,8 +704,8 @@ StatusOr<EngineCounters> CepService::CountersOf(uint64_t query_id) const {
     return Status::NotFound("unknown query id " + std::to_string(query_id));
   }
   if (!state->keyed) return UnkeyedCounters(query_id);
-  if (state->partitioned != nullptr) return state->partitioned->TotalCounters();
-  return sharded_->CountersOf(state->sharded_id);
+  if (state->uses_sharded) return sharded_->CountersOf(state->sharded_id);
+  return PartitionedOf(*state)->TotalCounters();
 }
 
 StatusOr<std::vector<EnginePlan>> CepService::PlansOf(
@@ -588,7 +719,7 @@ StatusOr<std::vector<EnginePlan>> CepService::PlansOf(
         "keyed queries are planned per partition; use num_partitions() "
         "and PlanFor(partition)");
   }
-  return state->plans;
+  return groups_.at(state->group).plans;
 }
 
 StatusOr<size_t> CepService::NumPartitionsOf(uint64_t query_id) const {
@@ -600,8 +731,8 @@ StatusOr<size_t> CepService::NumPartitionsOf(uint64_t query_id) const {
     return Status::FailedPrecondition(
         "unkeyed queries have no partitions; use plans()");
   }
-  if (state->partitioned != nullptr) return state->partitioned->num_partitions();
-  return sharded_->NumPartitionsOf(state->sharded_id);
+  if (state->uses_sharded) return sharded_->NumPartitionsOf(state->sharded_id);
+  return PartitionedOf(*state)->num_partitions();
 }
 
 StatusOr<EnginePlan> CepService::PlanForPartitionOf(uint64_t query_id,
@@ -614,32 +745,32 @@ StatusOr<EnginePlan> CepService::PlanForPartitionOf(uint64_t query_id,
     return Status::FailedPrecondition(
         "unkeyed queries have no per-partition plans; use plans()");
   }
-  if (state->partitioned != nullptr) {
-    const EnginePlan* plan = state->partitioned->FindPlan(partition);
-    if (plan == nullptr) {
-      return Status::NotFound("no events seen for partition " +
-                              std::to_string(partition));
-    }
-    return *plan;
+  if (state->uses_sharded) {
+    StatusOr<const EnginePlan*> plan =
+        sharded_->PlanOf(state->sharded_id, partition);
+    if (!plan.ok()) return plan.status();
+    return **plan;
   }
-  StatusOr<const EnginePlan*> plan =
-      sharded_->PlanOf(state->sharded_id, partition);
-  if (!plan.ok()) return plan.status();
-  return **plan;
+  const EnginePlan* plan = PartitionedOf(*state)->FindPlan(partition);
+  if (plan == nullptr) {
+    return Status::NotFound("no events seen for partition " +
+                            std::to_string(partition));
+  }
+  return *plan;
 }
 
 const std::vector<SimplePattern>& CepService::UnkeyedSubpatterns(
     uint64_t query_id) const {
   const QueryState* state = Find(query_id);
   CEPJOIN_CHECK(state != nullptr && !state->keyed);
-  return state->subpatterns;
+  return groups_.at(state->group).subpatterns;
 }
 
 const std::vector<EnginePlan>& CepService::UnkeyedPlans(
     uint64_t query_id) const {
   const QueryState* state = Find(query_id);
   CEPJOIN_CHECK(state != nullptr && !state->keyed);
-  return state->plans;
+  return groups_.at(state->group).plans;
 }
 
 const EngineCounters& CepService::UnkeyedCounters(uint64_t query_id) const {
@@ -648,7 +779,10 @@ const EngineCounters& CepService::UnkeyedCounters(uint64_t query_id) const {
   // Always hand out the same address-stable storage: a reference taken
   // before Deregister()/Finish() released the engine must stay valid
   // (and final) afterwards, exactly like the legacy runtime's.
-  if (state->engine != nullptr) state->counters = state->engine->counters();
+  const QueryGroup& group = groups_.at(state->group);
+  if (state->active && group.engine != nullptr) {
+    state->counters = group.engine->counters();
+  }
   return state->counters;
 }
 

@@ -6,6 +6,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -90,7 +91,10 @@ class QueryHandle {
   /// queries are finished immediately (trailing matches flush to the
   /// query's sink inline); sharded keyed queries are cut at the current
   /// routing position, finish as the workers pass the cut, and deliver
-  /// their buffered matches at the service's Finish().
+  /// their buffered matches at the service's Finish(). A query sharing
+  /// its engines with others gets finished clones of them instead, so
+  /// it receives exactly a standalone deregistration's matches while the
+  /// others keep running.
   Status Deregister();
 
   /// The query's counters. Unkeyed / single-threaded keyed: valid any
@@ -138,12 +142,16 @@ class QueryHandle {
 ///   service->ProcessStream(live);
 ///   service->Finish();
 ///
-/// Execution: unkeyed queries run on per-query engines fed inline on
-/// the ingest thread; keyed queries run per-partition, single-threaded
-/// or inside one shared sharded runtime (options.num_threads) where N
-/// queries cost one routing pass. Every query's match sequence and
-/// counters are byte-identical to running it alone on the events
-/// ingested while it was registered, at every thread count.
+/// Execution: unkeyed queries run on engines fed inline on the ingest
+/// thread; keyed queries run per-partition, single-threaded or inside
+/// one shared sharded runtime (options.num_threads) where N queries cost
+/// one routing pass. Registrations with equal share keys made while no
+/// event was fed form one group served by ONE planner and engine set
+/// whose matches fan out to every member (cross-tenant sharing; a lone
+/// query is a group of one — README "Cross-tenant sharing"). Every
+/// query's match sequence and counters are byte-identical to running it
+/// alone on the events ingested while it was registered, at every
+/// thread count, shared or not.
 ///
 /// Thread-safety: the service is a single-caller facade — Register,
 /// Remove, OnEvent/ProcessStream/ProcessSource*, and Finish must all be
@@ -169,7 +177,9 @@ class CepService {
   /// dimension mismatches, type ids outside the service's registry —
   /// come back as InvalidArgument; nothing aborts. A query registered
   /// mid-stream sees exactly the events ingested after Register
-  /// returns.
+  /// returns. A spec equal to an active group's (see README "Cross-
+  /// tenant sharing") registered before any further event is fed joins
+  /// that group instead of building its own planner and engines.
   StatusOr<QueryHandle> Register(const QuerySpec& spec);
 
   /// Deregisters by id; see QueryHandle::Deregister.
@@ -247,7 +257,10 @@ class CepService {
   /// order, with the same attached sources. Positional sources are
   /// seeked to their recorded offsets so the next PumpAttachedSources
   /// replays the un-checkpointed tail; drained match sequences are then
-  /// byte-identical to a run that never crashed. NotFound if `dir` or
+  /// byte-identical to a run that never crashed. Identical queries that
+  /// the checkpointed run served from separate engine sets (one was
+  /// registered after events had been fed) are split apart again, so
+  /// the replay may register everything up front. NotFound if `dir` or
   /// its manifest does not exist; DataLoss if no stored checkpoint
   /// verifies; FailedPrecondition if this service's registration
   /// sequence disagrees with the checkpoint's.
@@ -309,30 +322,46 @@ class CepService {
   void DropExternalCollector() { options_.collector = nullptr; }
 
  private:
+  /// Delivers each match of a group's inline host to every member's
+  /// (metrics-wrapped) sink, in registration order.
+  class FanOutSink final : public MatchSink {
+   public:
+    void OnMatch(const Match& match) override {
+      for (MatchSink* sink : sinks) sink->OnMatch(match);
+    }
+    std::vector<MatchSink*> sinks;
+  };
+
   struct QueryState {
     std::string name;
     bool keyed = false;
     bool active = false;
-    // Exactly one evaluation host, by (keyed, num_threads):
-    std::unique_ptr<Engine> engine;                   // unkeyed
-    std::unique_ptr<PartitionedRuntime> partitioned;  // keyed, 1 thread
-    uint64_t sharded_id = 0;                          // keyed, sharded
+    /// The group whose engines serve this registration: the id of the
+    /// registration that formed it (its own id for a lone query).
+    uint64_t group = 0;
+    uint64_t sharded_id = 0;  // keyed, sharded: the runtime's id
     bool uses_sharded = false;
-    std::vector<SimplePattern> subpatterns;  // unkeyed
-    std::vector<EnginePlan> plans;           // unkeyed
-    std::unique_ptr<MatchSink> owned_sink;   // callback adapter, if any
+    std::unique_ptr<MatchSink> owned_sink;  // callback adapter, if any
     MatchSink* sink = nullptr;
     /// The query's instrument bundle (null = metrics off). Shared with
     /// the sharded workers for keyed sharded queries; recorded through
     /// `metrics_sink` (wrapping `sink`) on the inline paths.
     std::unique_ptr<QueryMetrics> metrics;
     std::unique_ptr<MatchSink> metrics_sink;
-    /// The unkeyed query's counters. While the engine lives this is a
-    /// cache refreshed on every read; once the engine is finished and
-    /// released it is the final snapshot. Mutable so const accessors
-    /// can refresh it — callers hold `const EngineCounters&` into this
-    /// address-stable storage (std::map node), which must stay valid
-    /// across Deregister()/Finish() like the legacy runtime's did.
+    /// Where inline hosts deliver this query's matches: `metrics_sink`,
+    /// or `sink` when metrics are off.
+    MatchSink* inline_sink = nullptr;
+    /// Keyed single-threaded query that left a group other members keep
+    /// running: the finished clone of the group's runtime, serving this
+    /// query's counters, num_partitions() and PlanFor().
+    std::unique_ptr<PartitionedRuntime> departed;
+    /// The unkeyed query's counters. While it is fed this is a cache
+    /// refreshed from its group's engine on every read; once it stops
+    /// (deregistered, or its group's engine finished and released) it
+    /// is the final snapshot. Mutable so const accessors can refresh
+    /// it — callers hold `const EngineCounters&` into this address-
+    /// stable storage (std::map node), which must stay valid across
+    /// Deregister()/Finish() like the legacy runtime's did.
     mutable EngineCounters counters;
     /// Watermarks of the inline-fed hosts' instance-kernel counters
     /// already folded into the registry (SyncCounterDelta): refreshed at
@@ -343,6 +372,40 @@ class CepService {
     /// Watermark of retractions_processed already folded into
     /// cep_query_retractions_total; same delta-sync discipline.
     uint64_t retractions_reported = 0;
+  };
+
+  /// What makes two registrations compute the same matches (README
+  /// "Cross-tenant sharing"). No pattern = never shared (nested
+  /// patterns, WithStats overrides).
+  struct ShareKey {
+    std::optional<SimplePattern> pattern;
+    std::string algorithm;
+    uint64_t seed = 0;
+    double latency_alpha = 0.0;
+    bool keyed = false;
+
+    /// `spec`'s key, with its effective `seed`.
+    static ShareKey Of(const QuerySpec& spec, uint64_t seed);
+    bool SharesWith(const ShareKey& other) const;
+  };
+
+  /// Registrations with equal share keys, served by ONE planner and one
+  /// set of engines (README "Cross-tenant sharing"). A lone query is a
+  /// group of one; there is no other execution path.
+  struct QueryGroup {
+    ShareKey key;  // taken from the spec that formed the group
+    /// feed_epoch_ when the group formed: a registration joins only
+    /// while no event has been fed (and no state restored) since.
+    uint64_t formed_at = 0;
+    /// Active members in registration order; empty once retired.
+    std::vector<QueryState*> members;
+    FanOutSink fanout;  // inline hosts emit here
+    // Exactly one evaluation host, by (keyed, num_threads):
+    std::unique_ptr<Engine> engine;                   // unkeyed
+    std::unique_ptr<PartitionedRuntime> partitioned;  // keyed, 1 thread
+    bool sharded = false;  // keyed, sharded: the members' sharded_ids
+    std::vector<SimplePattern> subpatterns;  // unkeyed
+    std::vector<EnginePlan> plans;           // unkeyed
   };
 
   explicit CepService(const ServiceOptions& options);
@@ -358,21 +421,44 @@ class CepService {
   /// each active inline-fed query host.
   void FeedInline(const EventPtr* events, size_t n);
   const QueryState* Find(uint64_t query_id) const;
-  /// Finishes an inline-fed (unkeyed or single-threaded keyed) query;
-  /// unkeyed engines are released after snapshotting their counters.
-  void FinishInlineQuery(QueryState& state);
+  /// An active group a registration with `key` may join: equal share
+  /// key, formed since the last feed. Null if none.
+  QueryGroup* FindJoinableGroup(const ShareKey& key);
+  /// Forms group `id` for `spec` and builds its evaluation host; the
+  /// sharded host registers `state` as its first member.
+  Status FormGroup(uint64_t id, const QuerySpec& spec, ShareKey key,
+                   QueryState& state);
+  /// RestoreFrom support: makes every registration's group the one the
+  /// checkpoint recorded (`saved`: id -> group). A replay registers all
+  /// queries before any event, so it groups identical queries that the
+  /// checkpointed run registered apart (after events were fed); those
+  /// groups get fresh engines here, before the checkpoint's state is
+  /// loaded into them. FailedPrecondition for a grouping of specs that
+  /// differ in this service.
+  Status RestoreGroups(const std::map<uint64_t, uint64_t>& saved);
+  /// Finishes an inline-fed (unkeyed or single-threaded keyed) group
+  /// into its members; unkeyed engines are released after snapshotting
+  /// their counters.
+  void FinishInlineGroup(QueryGroup& group);
+  /// A member leaves an inline-fed group that keeps running: the
+  /// group's engines are cloned through the snapshot codec and the
+  /// clones finished into this member alone.
+  Status DetachInlineMember(QueryGroup& group, QueryState& state);
+  /// The partitioned runtime serving a keyed single-threaded query.
+  const PartitionedRuntime* PartitionedOf(const QueryState& state) const;
   /// Folds an inline-fed query's instance-kernel counter growth into its
   /// registry counters. No-op for sharded queries (their workers sync)
   /// and when metrics are off.
   void SyncInlineKernelCounters(QueryState& state);
-  /// Recomputes the active inline-fed host list after a lifecycle
-  /// change, so per-event ingest never scans retired queries.
+  /// Recomputes the active inline-fed group list and every group's
+  /// fan-out after a lifecycle change, so per-event ingest never scans
+  /// retired queries.
   void RebuildInlineFeeds();
   /// Refills one attached source's lookahead head, with transient-
   /// failure retries per ServiceOptions::source_retry_limit.
   Status RefillAttachedHead(size_t index);
-  /// Serializes one inline-hosted query's engine state section.
-  Status SaveQueryState(const QueryState& state, EngineStateWriter* w) const;
+  /// Serializes one inline-hosted group's engine state section.
+  Status SaveGroupState(const QueryGroup& group, EngineStateWriter* w) const;
 
   struct AttachedSource {
     std::unique_ptr<StreamSource> source;
@@ -399,11 +485,18 @@ class CepService {
   Counter* ingest_batches_ = nullptr;  // null = metrics off
   std::unique_ptr<StatsCollector> own_collector_;
   std::map<uint64_t, QueryState> queries_;  // id order == registration order
-  /// Active queries fed on the ingest thread (unkeyed engines and
+  std::map<uint64_t, QueryGroup> groups_;   // by forming registration id
+  /// Active groups fed on the ingest thread (unkeyed engines and
   /// single-threaded keyed runtimes), in registration order. Pointers
-  /// into queries_ (std::map nodes are address-stable); rebuilt on
+  /// into groups_ (std::map nodes are address-stable); rebuilt on
   /// Register/Deregister/Finish.
-  std::vector<QueryState*> inline_feeds_;
+  std::vector<QueryGroup*> inline_feeds_;
+  /// Advances on every non-empty feed and on RestoreFrom: groups formed
+  /// at an older epoch accept no new members.
+  uint64_t feed_epoch_ = 0;
+  /// Active registrations served by another registration's engines.
+  size_t shared_registrations_ = 0;
+  Gauge* shared_registrations_gauge_ = nullptr;  // null = metrics off
   uint64_t next_id_ = 0;
   std::unique_ptr<ShardedRuntime> sharded_;
   /// Durable ingest state (AttachSource/PumpAttachedSources): the

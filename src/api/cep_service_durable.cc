@@ -4,7 +4,9 @@
 // durability machinery evolve independently.
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
+#include <map>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -23,7 +25,7 @@ namespace {
 /// Version of the service-level checkpoint payload (the section layout
 /// AROUND the per-engine blobs; those carry kEngineStateFormatVersion
 /// themselves). Bump on any layout change.
-constexpr uint32_t kServiceCheckpointVersion = 2;
+constexpr uint32_t kServiceCheckpointVersion = 3;
 
 /// Merge order of two source heads: earlier timestamp first, inserts
 /// before retractions at equal timestamps, remaining ties to the lower
@@ -184,20 +186,20 @@ StatusOr<size_t> CepService::PumpAttachedSources(size_t max_events) {
 
 // ---- checkpoint capture ---------------------------------------------------
 
-Status CepService::SaveQueryState(const QueryState& state,
+Status CepService::SaveGroupState(const QueryGroup& group,
                                   EngineStateWriter* w) const {
   SnapshotWriter& p = w->payload();
-  if (!state.keyed) {
-    p.U8(state.engine != nullptr ? 1 : 0);
-    if (state.engine != nullptr) {
+  if (!group.key.keyed) {
+    p.U8(group.engine != nullptr ? 1 : 0);
+    if (group.engine != nullptr) {
       EngineStateWriter engine_writer;
-      CEPJOIN_RETURN_IF_ERROR(state.engine->SaveState(&engine_writer));
+      CEPJOIN_RETURN_IF_ERROR(group.engine->SaveState(&engine_writer));
       p.Str(engine_writer.Finish());
     }
-  } else if (state.partitioned != nullptr) {
+  } else if (group.partitioned != nullptr) {
     std::vector<std::pair<uint32_t, std::string>> blobs;
-    if (state.active) {
-      CEPJOIN_RETURN_IF_ERROR(state.partitioned->SaveStateTo(&blobs));
+    if (!group.members.empty()) {
+      CEPJOIN_RETURN_IF_ERROR(group.partitioned->SaveStateTo(&blobs));
     }
     p.U64(blobs.size());
     for (const auto& [partition, blob] : blobs) {
@@ -205,8 +207,8 @@ Status CepService::SaveQueryState(const QueryState& state,
       p.Str(blob);
     }
   }
-  // Sharded queries carry no inline section: their engines live in the
-  // sharded block below, keyed by service id.
+  // Sharded groups carry no inline section: their engines live in the
+  // sharded block below, keyed by the group's service id.
   return Status::Ok();
 }
 
@@ -239,7 +241,9 @@ Status CepService::CaptureCheckpointBytes(std::string* out) {
     }
   }
 
-  // Per-query sections, in id (registration) order.
+  // The registration table, in id order: each query's fingerprint and
+  // its group. Restore reads it whole, so it can re-form the groups
+  // before any engine state is loaded.
   p.U64(queries_.size());
   for (const auto& [id, state] : queries_) {
     p.U64(id);
@@ -247,17 +251,27 @@ Status CepService::CaptureCheckpointBytes(std::string* out) {
     p.U8(state.keyed ? 1 : 0);
     p.U8(state.active ? 1 : 0);
     p.U8(state.uses_sharded ? 1 : 0);
-    if (!state.keyed && state.engine != nullptr) {
-      state.counters = state.engine->counters();
+    p.U64(state.group);
+  }
+  // Per-query sections, same order. A group's engine state is written
+  // once, in the section of the registration that formed it (its lowest
+  // member id).
+  for (const auto& [id, state] : queries_) {
+    const QueryGroup& group = groups_.at(state.group);
+    if (!state.keyed && state.active && group.engine != nullptr) {
+      state.counters = group.engine->counters();
     }
     outer.WriteCounters(state.counters);
-    CEPJOIN_RETURN_IF_ERROR(SaveQueryState(state, &outer));
+    if (id == state.group) {
+      CEPJOIN_RETURN_IF_ERROR(SaveGroupState(group, &outer));
+    }
   }
 
   // Sharded block: the capture-time (runtime id -> service id) table —
   // restore composes it with the new runtime's table to remap buffered
-  // sink entries — then every live engine blob keyed by SERVICE id
-  // (stable across restarts), then each shard's buffered sink entries.
+  // sink entries — then every live engine blob keyed by its group's
+  // SERVICE id (stable across restarts), then each shard's buffered sink
+  // entries.
   if (sharded_ != nullptr) {
     std::unordered_map<uint64_t, uint64_t> runtime_to_service;
     std::vector<std::pair<uint64_t, uint64_t>> mapping;
@@ -288,6 +302,12 @@ Status CepService::CaptureCheckpointBytes(std::string* out) {
     }
     p.U64(checkpoint.sink_blobs.size());
     for (const std::string& blob : checkpoint.sink_blobs) p.Str(blob);
+    p.U64(checkpoint.groups.size());
+    for (const QueryGroupSnapshot& entry : checkpoint.groups) {
+      p.U64(entry.query);
+      p.U64(entry.group);
+      p.U32(entry.left_at);
+    }
   }
 
   *out = outer.Finish();
@@ -303,6 +323,83 @@ Status CepService::CheckpointTo(const std::string& dir) {
 }
 
 // ---- restore --------------------------------------------------------------
+
+Status CepService::RestoreGroups(const std::map<uint64_t, uint64_t>& saved) {
+  // Every recorded group must be formed by a registration that groups
+  // itself, no later than its members, whose spec shares with theirs.
+  std::map<uint64_t, std::vector<uint64_t>> saved_members;
+  std::map<uint64_t, std::vector<uint64_t>> replayed_members;
+  for (const auto& [id, state] : queries_) {
+    const uint64_t group = saved.at(id);
+    auto forming = saved.find(group);
+    bool rebuildable = group <= id && forming != saved.end() &&
+                       forming->second == group;
+    if (rebuildable) {
+      const QueryGroup& mine = groups_.at(state.group);
+      const QueryGroup& theirs = groups_.at(queries_.at(group).group);
+      rebuildable = &mine == &theirs || mine.key.SharesWith(theirs.key);
+    }
+    if (!rebuildable) {
+      return Status::FailedPrecondition(
+          "query " + std::to_string(id) + " was served by query " +
+          std::to_string(group) + "'s engines at the checkpoint, which this "
+          "service's registrations cannot rebuild (their specs differ); "
+          "replay the exact registration sequence");
+    }
+    saved_members[group].push_back(id);
+    replayed_members[state.group].push_back(id);
+  }
+  if (saved_members == replayed_members) return Status::Ok();
+
+  // Nothing has been fed since the replay, so a group whose members
+  // differ from the replay's gets fresh engines, of the same key, plans
+  // and host as the engines now serving its forming registration.
+  for (const auto& [id, members] : saved_members) {
+    auto replayed = replayed_members.find(id);
+    if (replayed != replayed_members.end() && replayed->second == members) {
+      continue;
+    }
+    const QueryGroup& like = groups_.at(queries_.at(id).group);
+    QueryGroup& group = groups_[id];  // map insertion keeps `like` valid
+    if (&group != &like) {
+      group.key = like.key;
+      group.sharded = like.sharded;
+      group.subpatterns = like.subpatterns;
+      group.plans = like.plans;
+    }
+    group.formed_at = feed_epoch_;
+    group.engine.reset();
+    group.partitioned.reset();
+    bool live = false;
+    for (uint64_t member : members) live |= queries_.at(member).active;
+    if (group.sharded) continue;  // ShardedRuntime::RestoreCheckpoint
+    if (group.key.keyed) {
+      // Kept even when retired: it serves its members' plans/counters.
+      group.partitioned = std::make_unique<PartitionedRuntime>(
+          *group.key.pattern, *options_.history, options_.num_types,
+          group.key.algorithm, &group.fanout, group.key.seed,
+          group.key.latency_alpha, options_.batch_size);
+    } else if (live) {
+      group.engine =
+          BuildEngine(group.subpatterns[0], group.plans[0], &group.fanout);
+    }
+  }
+  for (auto& [id, state] : queries_) state.group = saved.at(id);
+  for (auto it = groups_.begin(); it != groups_.end();) {
+    it = saved_members.count(it->first) != 0 ? std::next(it)
+                                              : groups_.erase(it);
+  }
+  for (auto& [id, group] : groups_) group.members.clear();
+  shared_registrations_ = 0;
+  for (auto& [id, state] : queries_) {
+    if (!state.active) continue;
+    std::vector<QueryState*>& members = groups_.at(state.group).members;
+    if (!members.empty()) ++shared_registrations_;
+    members.push_back(&state);
+  }
+  RebuildInlineFeeds();
+  return Status::Ok();
+}
 
 StatusOr<CepService::RestoreReport> CepService::RestoreFrom(
     const std::string& dir) {
@@ -399,12 +496,14 @@ StatusOr<CepService::RestoreReport> CepService::RestoreFrom(
         "checkpoint carries " + std::to_string(n_queries) +
         " queries, this service has " + std::to_string(queries_.size()));
   }
-  for (auto& [id, state] : queries_) {
+  std::map<uint64_t, uint64_t> saved_groups;
+  for (const auto& [id, state] : queries_) {
     uint64_t saved_id = p.U64();
     std::string saved_name = p.Str();
     uint8_t saved_keyed = p.U8();
     uint8_t saved_active = p.U8();
     uint8_t saved_sharded = p.U8();
+    uint64_t saved_group = p.U64();
     if (!p.ok()) return p.status();
     if (saved_id != id || saved_name != state.name ||
         (saved_keyed != 0) != state.keyed ||
@@ -416,11 +515,17 @@ StatusOr<CepService::RestoreReport> CepService::RestoreFrom(
           "(id/name/keyed/active/host); re-create the service and replay "
           "the exact registration (and deregistration) order");
     }
+    saved_groups.emplace(id, saved_group);
+  }
+  CEPJOIN_RETURN_IF_ERROR(RestoreGroups(saved_groups));
+  for (auto& [id, state] : queries_) {
     outer.ReadCounters(&state.counters);
+    if (id != state.group) continue;
+    QueryGroup& group = groups_.at(id);
     if (!state.keyed) {
       uint8_t has_engine = p.U8();
       if (!p.ok()) return p.status();
-      if ((has_engine != 0) != (state.engine != nullptr)) {
+      if ((has_engine != 0) != (group.engine != nullptr)) {
         return Status::FailedPrecondition(
             "query " + std::to_string(id) +
             ": live-engine mismatch against the checkpoint");
@@ -430,22 +535,17 @@ StatusOr<CepService::RestoreReport> CepService::RestoreFrom(
         if (!p.ok()) return p.status();
         EngineStateReader reader(blob);
         CEPJOIN_RETURN_IF_ERROR(reader.Init());
-        CEPJOIN_RETURN_IF_ERROR(state.engine->LoadState(&reader));
+        CEPJOIN_RETURN_IF_ERROR(group.engine->LoadState(&reader));
       }
     } else if (!state.uses_sharded) {
       uint64_t n_partitions = p.U64();
       if (!p.ok()) return p.status();
-      if (state.partitioned == nullptr) {
-        return Status::FailedPrecondition(
-            "query " + std::to_string(id) +
-            " has no partitioned runtime to restore into");
-      }
       for (uint64_t i = 0; i < n_partitions && p.ok(); ++i) {
         uint32_t partition = p.U32();
         std::string blob = p.Str();
         if (!p.ok()) break;
         CEPJOIN_RETURN_IF_ERROR(
-            state.partitioned->LoadPartitionState(partition, blob));
+            group.partitioned->LoadPartitionState(partition, blob));
       }
       if (!p.ok()) return p.status();
     }
@@ -498,6 +598,14 @@ StatusOr<CepService::RestoreReport> CepService::RestoreFrom(
     for (uint64_t i = 0; i < n_sinks && p.ok(); ++i) {
       checkpoint.sink_blobs.push_back(p.Str());
     }
+    uint64_t n_groups = p.U64();
+    for (uint64_t i = 0; i < n_groups && p.ok(); ++i) {
+      QueryGroupSnapshot entry;
+      entry.query = p.U64();
+      entry.group = p.U64();
+      entry.left_at = p.U32();
+      checkpoint.groups.push_back(entry);
+    }
     if (!p.ok()) return p.status();
     CEPJOIN_RETURN_IF_ERROR(
         sharded_->RestoreCheckpoint(checkpoint, query_remap));
@@ -508,6 +616,9 @@ StatusOr<CepService::RestoreReport> CepService::RestoreFrom(
     return Status::DataLoss(
         "checkpoint payload has trailing bytes after the last section");
   }
+  // The restored engines hold state a later registration was never fed:
+  // no group formed before the restore accepts new members.
+  ++feed_epoch_;
   if (restores_total_ != nullptr) restores_total_->Inc();
   RestoreReport report;
   report.checkpoint_seq = loaded->seq;

@@ -239,4 +239,13 @@ void EngineStateReader::ReadCounters(EngineCounters* c) {
   c->peak_total_bytes = static_cast<size_t>(reader_.U64());
 }
 
+Status CopyEngineState(const Engine& from, Engine* to) {
+  EngineStateWriter writer;
+  CEPJOIN_RETURN_IF_ERROR(from.SaveState(&writer));
+  const std::string bytes = writer.Finish();
+  EngineStateReader reader(bytes);  // borrows `bytes`
+  CEPJOIN_RETURN_IF_ERROR(reader.Init());
+  return to->LoadState(&reader);
+}
+
 }  // namespace cepjoin

@@ -84,6 +84,12 @@ class EngineStateReader {
   std::vector<EventPtr> table_;
 };
 
+/// Makes `to` hold exactly `from`'s state by round-tripping it through
+/// the codec (from.SaveState -> to->LoadState). `to` must be a freshly
+/// built engine of the same pattern and plan; it keeps its own sink, so
+/// finishing it flushes what `from` would flush now while `from` runs on.
+[[nodiscard]] Status CopyEngineState(const Engine& from, Engine* to);
+
 }  // namespace cepjoin
 
 #endif  // CEPJOIN_DURABLE_SNAPSHOT_CODEC_H_

@@ -53,6 +53,8 @@ inline constexpr char kCheckpointStallSeconds[] =
 inline constexpr char kCheckpointBytes[] = "cep_checkpoint_bytes";
 inline constexpr char kCheckpointLastSeq[] = "cep_checkpoint_last_seq";
 inline constexpr char kRestoresTotal[] = "cep_restores_total";
+inline constexpr char kServiceSharedRegistrations[] =
+    "cep_service_shared_registrations";
 }  // namespace metric_names
 
 /// The per-query instrument bundle, shared by the inline feed path

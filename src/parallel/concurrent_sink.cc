@@ -16,6 +16,7 @@ void ConcurrentMatchSink::ShardSink::SaveEntries(EngineStateWriter* w) const {
     w->WriteMatch(entry.match);
     w->payload().U64(entry.query);
     w->payload().U32(entry.partition);
+    w->payload().U32(entry.generation);
   }
 }
 
@@ -30,6 +31,7 @@ Status ConcurrentMatchSink::ShardSink::LoadEntries(
     entry.match = r->ReadMatch();
     entry.query = p.U64();
     entry.partition = p.U32();
+    entry.generation = p.U32();
     if (!p.ok()) break;
     if (shard_of(entry.partition) != shard) continue;
     auto it = query_remap.find(entry.query);
@@ -50,12 +52,16 @@ void ConcurrentMatchSink::ShardSink::OnMatch(const Match& match) {
   entry.match = match;
   entry.query = current_query_;
   entry.partition = current_partition_;
+  entry.generation = current_generation_;
   entries_.push_back(std::move(entry));
   // Striped counters/histograms: every shard records through the same
-  // per-query bundle without contention, and a snapshot merges the
+  // per-query bundles without contention, and a snapshot merges the
   // per-thread cells — the sharded equivalent of merging per-shard
-  // output profilers at drain time.
-  RecordMatchMetrics(current_metrics_, match, batch_ingested_at_);
+  // output profilers at drain time. A group's match counts for every
+  // member, exactly as if each ran alone.
+  for (size_t i = 0; i < num_members_; ++i) {
+    RecordMatchMetrics(members_[i].metrics, match, batch_ingested_at_);
+  }
 }
 
 ConcurrentMatchSink::ConcurrentMatchSink(size_t num_shards) {
@@ -98,11 +104,11 @@ void ConcurrentMatchSink::DrainTo(MatchSink* out) {
   for (auto& entry : SortedEntries()) out->OnMatch(entry.match);
 }
 
-void ConcurrentMatchSink::DrainPerQuery(
-    const std::function<MatchSink*(uint64_t)>& sink_for) {
+void ConcurrentMatchSink::DrainPerQuery(const RecipientsFn& recipients_for) {
   for (auto& entry : SortedEntries()) {
-    MatchSink* out = sink_for(entry.query);
-    if (out != nullptr) out->OnMatch(entry.match);
+    for (MatchSink* out : recipients_for(entry.query, entry.generation)) {
+      out->OnMatch(entry.match);
+    }
   }
 }
 

@@ -10,13 +10,13 @@
 #include <vector>
 
 #include "common/status.h"
+#include "parallel/query_set.h"
 #include "runtime/match.h"
 
 namespace cepjoin {
 
 class EngineStateReader;
 class EngineStateWriter;
-class QueryMetrics;
 
 /// Collects matches from concurrently running shard workers and replays
 /// them into downstream (single-threaded) MatchSinks in a canonical,
@@ -51,21 +51,39 @@ class QueryMetrics;
 /// full-suite TSan CI job would flag it).
 class ConcurrentMatchSink {
  public:
+  /// Generation tag of an entry that belongs to one registration alone
+  /// (the Finish-time matches of a member leaving a group that keeps
+  /// running); its query field is then that member's id.
+  static constexpr uint32_t kSoloGeneration = UINT32_MAX;
+
   /// Per-worker MatchSink facade. The owning worker must call
-  /// set_current() (or set_current_partition() in single-query use)
-  /// before feeding its engines, so recorded matches carry the
-  /// partition tie-breaker and the owning query's id.
+  /// set_current() / set_current_solo() (or set_current_partition() in
+  /// single-query use) before feeding its engines, so recorded matches
+  /// carry the partition tie-breaker and their recipients' tag.
   class ShardSink : public MatchSink {
    public:
     void OnMatch(const Match& match) override;
     void set_current_partition(uint32_t partition) {
       current_partition_ = partition;
     }
-    void set_current(uint64_t query, uint32_t partition,
-                     QueryMetrics* metrics = nullptr) {
-      current_query_ = query;
+    /// Matches recorded from now on belong to every member of `group`
+    /// (stored once, tagged with the group id and generation) and are
+    /// recorded into every member's metrics bundle. `group` must stay
+    /// alive while it is current (the worker's active snapshot owns it).
+    void set_current(const ShardQuery& group, uint32_t partition) {
+      current_query_ = group.id;
+      current_generation_ = group.generation;
       current_partition_ = partition;
-      current_metrics_ = metrics;
+      members_ = group.members.data();
+      num_members_ = group.members.size();
+    }
+    /// Matches recorded from now on belong to `member` alone.
+    void set_current_solo(const ShardMember& member, uint32_t partition) {
+      current_query_ = member.id;
+      current_generation_ = kSoloGeneration;
+      current_partition_ = partition;
+      members_ = &member;
+      num_members_ = 1;
     }
     /// Latency anchor of the batch being evaluated (its router-entry
     /// time); matches recorded while it is set feed the owning query's
@@ -79,8 +97,8 @@ class ConcurrentMatchSink {
     bool empty() const { return entries_.empty(); }
 
     /// Checkpoint support: serializes the buffered entries (matches
-    /// tagged with runtime query id + partition) into `w`. Runs on the
-    /// owning worker thread via a control batch.
+    /// tagged with runtime query id, generation and partition) into `w`.
+    /// Runs on the owning worker thread via a control batch.
     void SaveEntries(EngineStateWriter* w) const;
 
     /// Restore counterpart: decodes a SaveEntries blob, keeps only the
@@ -101,11 +119,14 @@ class ConcurrentMatchSink {
       Match match;
       uint64_t query = 0;
       uint32_t partition = 0;
+      uint32_t generation = 0;
     };
     std::vector<Entry> entries_;
     uint64_t current_query_ = 0;
     uint32_t current_partition_ = 0;
-    QueryMetrics* current_metrics_ = nullptr;
+    uint32_t current_generation_ = 0;
+    const ShardMember* members_ = nullptr;
+    size_t num_members_ = 0;
     std::chrono::steady_clock::time_point batch_ingested_at_{};
   };
 
@@ -123,12 +144,20 @@ class ConcurrentMatchSink {
   /// only be called after all workers have been joined.
   void DrainTo(MatchSink* out);
 
+  /// The recipients of one buffered entry, by its (query, generation)
+  /// tag: the sinks of the group's members that were active at that
+  /// generation, in registration order, or the one member of a
+  /// kSoloGeneration entry.
+  using RecipientsFn = std::function<const std::vector<MatchSink*>&(
+      uint64_t query, uint32_t generation)>;
+
   /// Multi-query drain: replays every buffered match in canonical order,
-  /// dispatching each to `sink_for(query id)` — each query's sink
-  /// receives exactly the subsequence a single-query run would have
-  /// produced. A null sink drops that query's matches. Clears the
-  /// buffers; must only be called after all workers have been joined.
-  void DrainPerQuery(const std::function<MatchSink*(uint64_t)>& sink_for);
+  /// handing each to every sink `recipients_for` names for its tag — so
+  /// each registration receives exactly the subsequence a single-query
+  /// run would have produced, while a group's match is buffered once.
+  /// Clears the buffers; must only be called after all workers have
+  /// been joined.
+  void DrainPerQuery(const RecipientsFn& recipients_for);
 
  private:
   std::vector<ShardSink::Entry> SortedEntries();

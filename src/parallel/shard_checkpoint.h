@@ -24,9 +24,22 @@ struct PartitionSnapshot {
 /// entries by the new shard map, and the canonical (emit_serial,
 /// partition) drain order makes the result independent of either thread
 /// count.
+/// One registration's place in the runtime's query groups at the cut.
+struct QueryGroupSnapshot {
+  uint64_t query = 0;
+  /// Runtime id of the registration that formed the serving group.
+  uint64_t group = 0;
+  /// The group generation the registration left at, or
+  /// ConcurrentMatchSink::kSoloGeneration while it is active: buffered
+  /// group entries reach exactly the members that had not left yet.
+  uint32_t left_at = 0;
+};
+
 struct ShardedCheckpoint {
   std::vector<PartitionSnapshot> partitions;
   std::vector<std::string> sink_blobs;
+  /// Every registration, in id order.
+  std::vector<QueryGroupSnapshot> groups;
 };
 
 }  // namespace cepjoin

@@ -83,13 +83,34 @@ StatusOr<uint64_t> ShardedRuntime::AddQuery(
     std::unique_ptr<PartitionPlanner> planner, MatchSink* sink,
     QueryMetrics* metrics) {
   CEPJOIN_CHECK(planner != nullptr);
-  CEPJOIN_CHECK(sink != nullptr);
   if (finished_) {
     return Status::FailedPrecondition("AddQuery after Finish");
   }
+  GroupEntry group;
+  group.planner = std::move(planner);
+  groups_.emplace(next_query_id_, std::move(group));
+  return AddMember(next_query_id_, sink, metrics);
+}
+
+StatusOr<uint64_t> ShardedRuntime::JoinQuery(uint64_t member, MatchSink* sink,
+                                             QueryMetrics* metrics) {
+  auto it = queries_.find(member);
+  if (it == queries_.end()) {
+    return Status::NotFound("unknown query id " + std::to_string(member));
+  }
+  if (finished_) {
+    return Status::FailedPrecondition("JoinQuery after Finish");
+  }
+  CEPJOIN_CHECK(it->second.active) << "JoinQuery through a removed member";
+  return AddMember(it->second.group, sink, metrics);
+}
+
+StatusOr<uint64_t> ShardedRuntime::AddMember(uint64_t group, MatchSink* sink,
+                                             QueryMetrics* metrics) {
+  CEPJOIN_CHECK(sink != nullptr);
   uint64_t id = next_query_id_++;
   QueryEntry entry;
-  entry.planner = std::move(planner);
+  entry.group = group;
   entry.sink = sink;
   entry.active = true;
   if (metrics_ != nullptr) {
@@ -102,6 +123,7 @@ StatusOr<uint64_t> ShardedRuntime::AddQuery(
     }
   }
   queries_.emplace(id, std::move(entry));
+  groups_.at(group).members.push_back(id);
   PublishSnapshot();
   return id;
 }
@@ -119,6 +141,7 @@ Status ShardedRuntime::RemoveQuery(uint64_t query) {
                                       " already removed");
   }
   it->second.active = false;
+  it->second.left_at = ++groups_.at(it->second.group).generation;
   PublishSnapshot();
   return Status::Ok();
 }
@@ -130,13 +153,16 @@ void ShardedRuntime::PublishSnapshot() {
   router_.FlushAll();
   auto snapshot = std::make_shared<QuerySetSnapshot>();
   snapshot->epoch = ++epoch_;
-  for (const auto& [id, entry] : queries_) {
-    if (!entry.active) continue;
+  for (const auto& [id, group] : groups_) {
     ShardQuery q;
     q.id = id;
-    q.planner = entry.planner.get();
-    q.metrics = entry.metrics;
-    snapshot->queries.push_back(q);
+    q.planner = group.planner.get();
+    q.generation = group.generation;
+    for (uint64_t member : group.members) {
+      const QueryEntry& entry = queries_.at(member);
+      if (entry.active) q.members.push_back({member, entry.metrics});
+    }
+    if (!q.members.empty()) snapshot->queries.push_back(std::move(q));
   }
   snapshot_ = snapshot;
   router_.set_query_snapshot(std::move(snapshot));
@@ -146,6 +172,10 @@ Status ShardedRuntime::RunOnWorker(
     size_t shard, const std::function<void(ShardWorker*)>& fn) {
   Notification done;
   EventBatch batch;
+  // The worker adopts the current query set first, so a query removed
+  // before this call is finished (its trailing matches buffered) before
+  // the callback runs.
+  batch.queries = snapshot_;
   batch.control = std::make_shared<const std::function<void(ShardWorker*)>>(
       [&fn, &done](ShardWorker* worker) {
         fn(worker);
@@ -171,6 +201,10 @@ Status ShardedRuntime::CaptureCheckpoint(ShardedCheckpoint* out) {
   out->partitions.clear();
   out->sink_blobs.clear();
   out->sink_blobs.reserve(workers_.size());
+  out->groups.clear();
+  for (const auto& [id, entry] : queries_) {
+    out->groups.push_back({id, entry.group, entry.left_at});
+  }
   Status capture = Status::Ok();
   for (size_t shard = 0; shard < workers_.size(); ++shard) {
     std::string sink_blob;
@@ -193,6 +227,7 @@ Status ShardedRuntime::RestoreCheckpoint(
     return Status::FailedPrecondition(
         "RestoreCheckpoint requires a runtime that has not routed events");
   }
+  CEPJOIN_RETURN_IF_ERROR(RestoreGroups(checkpoint.groups, query_remap));
   // Group the engine blobs by the shard owning each partition HERE —
   // this is where a checkpoint cut at 4 threads redistributes onto 2.
   std::vector<std::vector<const PartitionSnapshot*>> by_shard(workers_.size());
@@ -215,6 +250,62 @@ Status ShardedRuntime::RestoreCheckpoint(
     }));
   }
   return restore;
+}
+
+Status ShardedRuntime::RestoreGroups(
+    const std::vector<QueryGroupSnapshot>& saved,
+    const std::unordered_map<uint64_t, uint64_t>& query_remap) {
+  std::map<uint64_t, QueryGroupSnapshot> layout;  // by this runtime's id
+  for (const QueryGroupSnapshot& snap : saved) {
+    auto query = query_remap.find(snap.query);
+    auto group = query_remap.find(snap.group);
+    if (query == query_remap.end() || group == query_remap.end() ||
+        queries_.count(query->second) == 0) {
+      return Status::FailedPrecondition(
+          "checkpoint groups name runtime query id " +
+          std::to_string(snap.query) + " unknown to this runtime");
+    }
+    layout[query->second] = {query->second, group->second, snap.left_at};
+  }
+  bool unchanged = layout.size() == queries_.size();
+  for (const auto& [id, entry] : queries_) {
+    auto it = layout.find(id);
+    if (it == layout.end()) {
+      return Status::FailedPrecondition(
+          "checkpoint groups omit runtime query id " + std::to_string(id));
+    }
+    const QueryGroupSnapshot& snap = it->second;
+    auto forming = layout.find(snap.group);
+    if (forming == layout.end() || forming->second.group != snap.group ||
+        snap.group > id ||
+        (snap.left_at == ConcurrentMatchSink::kSoloGeneration) !=
+            entry.active) {
+      return Status::FailedPrecondition(
+          "checkpoint groups are inconsistent at runtime query id " +
+          std::to_string(id));
+    }
+    unchanged &= snap.group == entry.group && snap.left_at == entry.left_at;
+  }
+  if (unchanged) return Status::Ok();
+  // Rebuild every group; a recorded group takes a copy of the planner
+  // currently serving its forming registration (equal specs, so equal
+  // planners).
+  std::map<uint64_t, GroupEntry> groups;
+  for (auto& [id, entry] : queries_) {
+    const QueryGroupSnapshot& snap = layout.at(id);
+    GroupEntry& group = groups[snap.group];
+    if (group.planner == nullptr) {
+      group.planner = std::make_unique<PartitionPlanner>(
+          *groups_.at(queries_.at(snap.group).group).planner);
+    }
+    group.members.push_back(id);
+    if (!entry.active) ++group.generation;
+    entry.group = snap.group;
+    entry.left_at = snap.left_at;
+  }
+  groups_ = std::move(groups);
+  PublishSnapshot();
+  return Status::Ok();
 }
 
 void ShardedRuntime::OnEvent(const EventPtr& e) {
@@ -241,10 +332,27 @@ void ShardedRuntime::Finish() {
   finished_ = true;
   router_.CloseAll();
   for (auto& worker : workers_) worker->Join();
-  concurrent_sink_.DrainPerQuery([this](uint64_t query) -> MatchSink* {
-    auto it = queries_.find(query);
-    return it != queries_.end() ? it->second.sink : nullptr;
-  });
+  // A group's entry goes to the members that had not left when it was
+  // recorded, in registration order; a solo entry to its one member.
+  std::map<std::pair<uint64_t, uint32_t>, std::vector<MatchSink*>> recipients;
+  concurrent_sink_.DrainPerQuery(
+      [&](uint64_t query,
+          uint32_t generation) -> const std::vector<MatchSink*>& {
+        auto [it, inserted] = recipients.try_emplace({query, generation});
+        if (!inserted) return it->second;
+        if (generation == ConcurrentMatchSink::kSoloGeneration) {
+          auto q = queries_.find(query);
+          if (q != queries_.end()) it->second.push_back(q->second.sink);
+          return it->second;
+        }
+        auto group = groups_.find(query);
+        if (group == groups_.end()) return it->second;
+        for (uint64_t member : group->second.members) {
+          const QueryEntry& entry = queries_.at(member);
+          if (entry.left_at > generation) it->second.push_back(entry.sink);
+        }
+        return it->second;
+      });
 }
 
 StatusOr<size_t> ShardedRuntime::NumPartitionsOf(uint64_t query) const {

@@ -63,7 +63,10 @@ struct ShardedOptions {
 ///    carry query-set snapshots, so mid-stream AddQuery/RemoveQuery cut
 ///    the stream at a deterministic event boundary);
 ///  - each query's summed counters are identical to
-///    PartitionedRuntime::TotalCounters() on its sub-stream.
+///    PartitionedRuntime::TotalCounters() on its sub-stream;
+///  - all of the above hold for queries that share a group (JoinQuery):
+///    the group's engines run once, and its buffered matches are stored
+///    once and handed to every member at the drain.
 ///
 /// Threading model: the caller's thread ingests (OnEvent/ProcessStream),
 /// routes, and registers/removes queries; workers evaluate; Finish()
@@ -107,11 +110,26 @@ class ShardedRuntime {
   StatusOr<uint64_t> AddQuery(std::unique_ptr<PartitionPlanner> planner,
                               MatchSink* sink, QueryMetrics* metrics);
 
+  /// Registers a query served by the engines of `member`'s group instead
+  /// of its own (cross-tenant sharing), so one engine per partition
+  /// computes the matches of every member. Each member's sink, counters,
+  /// partitions and plans are exactly a standalone registration's. The
+  /// caller vouches that the spec equals the group's (same pattern,
+  /// algorithm, seed, latency alpha), that `member` is active, and that
+  /// no event has been routed (or state restored) since the group formed
+  /// — a later joiner would otherwise share state from a prefix it was
+  /// never fed. NotFound for an unknown `member`. Returns the new
+  /// registration's id.
+  StatusOr<uint64_t> JoinQuery(uint64_t member, MatchSink* sink,
+                               QueryMetrics* metrics);
+
   /// Deregisters a query: events routed after this call do not feed it,
   /// its engines are finished (flushing trailing-negation matches) as
-  /// the workers pass the cut, and its buffered matches are delivered
-  /// to its sink at Finish(). Counters/partition accessors for the
-  /// query become valid after Finish().
+  /// the workers pass the cut — a member leaving a group that keeps
+  /// running gets finished clones of the group's engines instead — and
+  /// its buffered matches are delivered to its sink at Finish().
+  /// Counters/partition accessors for the query become valid after
+  /// Finish().
   Status RemoveQuery(uint64_t query);
 
   /// Routes one event. Events must arrive in timestamp order, exactly as
@@ -172,21 +190,29 @@ class ShardedRuntime {
   Status CaptureCheckpoint(ShardedCheckpoint* out);
 
   /// Checkpoint restore into a freshly constructed runtime with the same
-  /// query set already re-registered (any thread count): re-routes each
-  /// partition blob to the shard owning it HERE, hands every capture-time
-  /// sink blob to every shard (each keeps the entries it now owns), and
-  /// remaps sink-entry query ids through `query_remap` (capture-time
-  /// runtime id -> this runtime's id). FailedPrecondition if events were
-  /// already routed.
+  /// query set already re-registered (any thread count): re-forms the
+  /// capture-time query groups (a replayed registration sequence may
+  /// group identical queries the original run kept apart; the caller
+  /// vouches that each recorded group's members have equal specs),
+  /// re-routes each partition blob to the shard owning it HERE, hands
+  /// every capture-time sink blob to every shard (each keeps the entries
+  /// it now owns), and remaps query ids through `query_remap`
+  /// (capture-time runtime id -> this runtime's id). FailedPrecondition
+  /// if events were already routed or the recorded groups do not cover
+  /// this runtime's registrations.
   Status RestoreCheckpoint(
       const ShardedCheckpoint& checkpoint,
       const std::unordered_map<uint64_t, uint64_t>& query_remap);
 
  private:
+  /// One registration.
   struct QueryEntry {
-    std::unique_ptr<PartitionPlanner> planner;
+    uint64_t group = 0;  // id of the group whose engines serve it
     MatchSink* sink = nullptr;
     bool active = false;
+    /// The group generation this member left at: buffered entries of an
+    /// earlier generation are its, later ones are not.
+    uint32_t left_at = ConcurrentMatchSink::kSoloGeneration;
     /// The query's shared metrics bundle: `metrics` points at either an
     /// external bundle (AddQuery overload) or `owned_metrics`. Null when
     /// the runtime has no registry. Kept alive until destruction — the
@@ -194,7 +220,21 @@ class ShardedRuntime {
     QueryMetrics* metrics = nullptr;
     std::unique_ptr<QueryMetrics> owned_metrics;
   };
+  /// Registrations served by one planner and one engine per partition.
+  struct GroupEntry {
+    std::unique_ptr<PartitionPlanner> planner;
+    uint32_t generation = 0;       // members that have left
+    std::vector<uint64_t> members;  // every member ever, ascending
+  };
 
+  StatusOr<uint64_t> AddMember(uint64_t group, MatchSink* sink,
+                               QueryMetrics* metrics);
+  /// RestoreCheckpoint's first step: makes groups_ and every entry's
+  /// group/left_at those of `saved` (ids remapped through `query_remap`),
+  /// then publishes the result.
+  Status RestoreGroups(
+      const std::vector<QueryGroupSnapshot>& saved,
+      const std::unordered_map<uint64_t, uint64_t>& query_remap);
   /// Flushes pending batches under the old snapshot, then publishes the
   /// current active set as a new epoch.
   void PublishSnapshot();
@@ -206,6 +246,7 @@ class ShardedRuntime {
                      const std::function<void(ShardWorker*)>& fn);
 
   std::map<uint64_t, QueryEntry> queries_;  // id order == registration order
+  std::map<uint64_t, GroupEntry> groups_;   // by the forming member's id
   /// The snapshot last published to the router; RestoreCheckpoint hands
   /// it to the workers directly (they may not have seen a batch yet).
   std::shared_ptr<const QuerySetSnapshot> snapshot_;

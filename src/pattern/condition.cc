@@ -1,6 +1,7 @@
 #include "pattern/condition.h"
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <sstream>
 
@@ -28,6 +29,41 @@ const char* CmpOpName(CmpOp op) {
 
 double Condition::DeclaredSelectivity() const {
   return std::numeric_limits<double>::quiet_NaN();
+}
+
+namespace {
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+}  // namespace
+
+bool SameCondition(const ConditionPtr& a, const ConditionPtr& b) {
+  if (a == b) return true;
+  if (a == nullptr || b == nullptr) return false;
+  if (a->left() != b->left() || a->right() != b->right()) return false;
+  if (auto* x = dynamic_cast<const AttrCompare*>(a.get())) {
+    auto* y = dynamic_cast<const AttrCompare*>(b.get());
+    return y != nullptr && x->left_attr() == y->left_attr() &&
+           x->right_attr() == y->right_attr() && x->op() == y->op() &&
+           SameBits(x->offset(), y->offset());
+  }
+  if (auto* x = dynamic_cast<const AttrThreshold*>(a.get())) {
+    auto* y = dynamic_cast<const AttrThreshold*>(b.get());
+    return y != nullptr && x->attr() == y->attr() && x->op() == y->op() &&
+           SameBits(x->constant(), y->constant());
+  }
+  if (dynamic_cast<const TsOrder*>(a.get()) != nullptr) {
+    return dynamic_cast<const TsOrder*>(b.get()) != nullptr;
+  }
+  if (dynamic_cast<const SerialAdjacent*>(a.get()) != nullptr) {
+    return dynamic_cast<const SerialAdjacent*>(b.get()) != nullptr &&
+           SameBits(a->DeclaredSelectivity(), b->DeclaredSelectivity());
+  }
+  if (dynamic_cast<const PartitionAdjacent*>(a.get()) != nullptr) {
+    return dynamic_cast<const PartitionAdjacent*>(b.get()) != nullptr &&
+           SameBits(a->DeclaredSelectivity(), b->DeclaredSelectivity());
+  }
+  return false;  // CustomCondition (or an unknown kind): pointer identity only
 }
 
 std::string AttrCompare::Describe() const {

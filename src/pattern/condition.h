@@ -201,6 +201,13 @@ class CustomCondition final : public Condition {
   std::string description_;
 };
 
+/// True iff `a` and `b` accept exactly the same event pairs by
+/// construction: the same object, or the same built-in kind with equal
+/// positions and bit-identical fields. A CustomCondition equals only
+/// itself (its function cannot be compared). Conservative: false means
+/// "not provably equal", never "different".
+bool SameCondition(const ConditionPtr& a, const ConditionPtr& b);
+
 /// Conditions of one pattern bucketed by (position, position) pair for O(1)
 /// lookup during evaluation. Pairs are normalized to (min, max); EvalPair
 /// passes the events in the orientation each condition expects.

@@ -1,5 +1,6 @@
 #include "pattern/pattern.h"
 
+#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -69,6 +70,30 @@ SimplePattern::SimplePattern(OperatorKind op, std::vector<EventSpec> events,
   // Validate condition position ranges eagerly.
   ConditionSet validate(size(), conditions_);
   (void)validate;
+}
+
+bool SamePattern(const SimplePattern& a, const SimplePattern& b) {
+  const Timestamp wa = a.window();
+  const Timestamp wb = b.window();
+  if (a.op() != b.op() || a.strategy() != b.strategy() ||
+      a.delta_input() != b.delta_input() ||
+      std::memcmp(&wa, &wb, sizeof wa) != 0 ||
+      a.events().size() != b.events().size() ||
+      a.conditions().size() != b.conditions().size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.events().size(); ++i) {
+    const EventSpec& x = a.events()[i];
+    const EventSpec& y = b.events()[i];
+    if (x.type != y.type || x.name != y.name || x.negated != y.negated ||
+        x.kleene != y.kleene) {
+      return false;
+    }
+  }
+  for (size_t i = 0; i < a.conditions().size(); ++i) {
+    if (!SameCondition(a.conditions()[i], b.conditions()[i])) return false;
+  }
+  return true;
 }
 
 SimplePattern SimplePattern::WithStrategy(SelectionStrategy s) const {

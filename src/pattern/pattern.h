@@ -102,6 +102,14 @@ class SimplePattern {
   bool delta_input_ = false;
 };
 
+/// True iff `a` and `b` describe the same query field by field: operator,
+/// event slots (type, name, NOT/KL flags), window and strategy bit-
+/// identical, the delta flag equal, and the conditions pairwise
+/// SameCondition in the same order. Two such patterns evaluate
+/// identically under the same plan; CepService shares one engine set
+/// between registrations whose patterns compare equal here.
+bool SamePattern(const SimplePattern& a, const SimplePattern& b);
+
 /// Fluent builder for SimplePattern, the main user entry point:
 ///
 ///   auto p = PatternBuilder(OperatorKind::kSeq, registry)

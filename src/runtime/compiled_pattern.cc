@@ -30,7 +30,12 @@ CompiledPattern::CompiledPattern(const SimplePattern& pattern)
     }
   }
   for (int pos = 0; pos < n; ++pos) {
-    positions_of_type_[original_.events()[pos].type].push_back(pos);
+    TypeId type = original_.events()[pos].type;
+    if (type == kInvalidTypeId) continue;  // no event carries it
+    if (type >= positions_of_type_.size()) {
+      positions_of_type_.resize(static_cast<size_t>(type) + 1);
+    }
+    positions_of_type_[type].push_back(pos);
   }
 
   // Compile negation checks.
@@ -72,12 +77,7 @@ CompiledPattern::CompiledPattern(const SimplePattern& pattern)
   }
 }
 
-const std::vector<int>& CompiledPattern::positions_of_type(
-    TypeId type) const {
-  static const std::vector<int> kEmpty;
-  auto it = positions_of_type_.find(type);
-  return it == positions_of_type_.end() ? kEmpty : it->second;
-}
+const std::vector<int> CompiledPattern::kNoPositions;
 
 bool CompiledPattern::NegationViolates(const NegationSpec& neg,
                                        const Event& candidate,

@@ -2,7 +2,6 @@
 #define CEPJOIN_RUNTIME_COMPILED_PATTERN_H_
 
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "pattern/pattern.h"
@@ -82,8 +81,13 @@ class CompiledPattern {
   const std::vector<NegationSpec>& negations() const { return negations_; }
   bool has_trailing_negation() const { return has_trailing_negation_; }
 
-  /// Pattern positions (positive and negated) accepting events of `type`.
-  const std::vector<int>& positions_of_type(TypeId type) const;
+  /// Pattern positions (positive and negated) accepting events of `type`;
+  /// empty for types the pattern does not reference. One bounds check and
+  /// one index on the per-event path of every engine.
+  const std::vector<int>& positions_of_type(TypeId type) const {
+    return type < positions_of_type_.size() ? positions_of_type_[type]
+                                            : kNoPositions;
+  }
 
   /// True if `candidate` (an event of the negated slot's type that already
   /// passed its unary filter) invalidates a match whose bound events are
@@ -106,7 +110,9 @@ class CompiledPattern {
   int kleene_slot_ = -1;
   std::vector<NegationSpec> negations_;
   bool has_trailing_negation_ = false;
-  std::unordered_map<TypeId, std::vector<int>> positions_of_type_;
+  /// Indexed by TypeId, sized to the largest type the pattern references.
+  std::vector<std::vector<int>> positions_of_type_;
+  static const std::vector<int> kNoPositions;
 };
 
 }  // namespace cepjoin

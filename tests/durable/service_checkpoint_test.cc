@@ -7,10 +7,14 @@
 // 1, 2, and 4 shard threads. Plus the recovery-surface contracts:
 // NotFound on a missing directory, FailedPrecondition on a mismatched
 // registration sequence, fell_back reporting when the newest snapshot is
-// corrupt, and the write-behind CheckpointCoordinator's policy.
+// corrupt, and the write-behind CheckpointCoordinator's policy. Groups
+// of identical queries sharing one engine set (with a member leaving
+// mid-stream) must recover the same way, also when the replayed
+// registrations would group them differently from the checkpointed run.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -27,6 +31,7 @@
 #include "durable/snapshot_codec.h"
 #include "durable/snapshot_io.h"
 #include "event/partition_sequencer.h"
+#include "event/retraction_ledger.h"
 #include "event/stream_source.h"
 #include "workload/keyed_generator.h"
 
@@ -476,6 +481,323 @@ TEST_F(ServiceCheckpointTest, InsertOnlyWorkloadRoundtrips) {
   }
   EXPECT_EQ(keyed, baseline.keyed);
   EXPECT_EQ(unkeyed, baseline.unkeyed);
+}
+
+// ---------------------------------------------------------------------
+// Cross-tenant sharing under checkpoint/restore: two identical keyed
+// queries (one group) and two identical unkeyed queries (another), with
+// one member of each leaving mid-stream — either the later member or the
+// one that formed the group.
+
+struct SharedSession {
+  std::unique_ptr<CepService> service;
+  // keyed a/b, unkeyed a/b.
+  CollectingSink sinks[4];
+  std::vector<QueryHandle> handles;
+};
+
+SharedSession MakeSharedSession(const DeltaWorkload& workload,
+                                size_t num_threads) {
+  SharedSession s;
+  ServiceOptions options;
+  options.history = &workload.history;
+  options.num_types = workload.registry.size();
+  options.num_threads = num_threads;
+  s.service = CepService::Create(options).value();
+  const char* names[4] = {"keyed-a", "keyed-b", "unkeyed-a", "unkeyed-b"};
+  for (int q = 0; q < 4; ++q) {
+    s.handles.push_back(s.service
+                            ->Register(QuerySpec::Simple(workload.pattern)
+                                           .WithName(names[q])
+                                           .Keyed(q < 2)
+                                           .WithSink(&s.sinks[q]))
+                            .value());
+  }
+  CEPJOIN_CHECK_OK(s.service->AttachSource(
+      std::make_unique<EventStreamSource>(&workload.delta)));
+  return s;
+}
+
+// Member `leaver` (0 = a, the group's forming member; 1 = b) of both
+// groups deregisters.
+void Leave(SharedSession& s, int leaver) {
+  CEPJOIN_CHECK_OK(s.handles[leaver].Deregister());
+  CEPJOIN_CHECK_OK(s.handles[2 + leaver].Deregister());
+}
+
+void Pump(CepService* service, size_t n) {
+  if (n == 0) return;
+  auto fed = service->PumpAttachedSources(n);
+  CEPJOIN_CHECK_OK(fed.status());
+  CEPJOIN_CHECK_EQ(fed.value(), n);
+}
+
+TEST_F(ServiceCheckpointTest, SharedGroupCrashRecoveryAtEveryThreadCount) {
+  DeltaWorkload workload = MakeDeltaWorkload(/*seed=*/17);
+  const size_t total = workload.delta.size();
+  const size_t leave = total / 2;
+  for (size_t num_threads : {1u, 2u, 4u}) {
+    for (int leaver : {1, 0}) {
+      SCOPED_TRACE("threads=" + std::to_string(num_threads) +
+                   " leaver=" + std::to_string(leaver));
+      std::vector<std::string> baseline[4];
+      {
+        SharedSession s = MakeSharedSession(workload, num_threads);
+        Pump(s.service.get(), leave);
+        Leave(s, leaver);
+        ASSERT_TRUE(s.service->PumpAttachedSources().ok());
+        s.service->Finish();
+        for (int q = 0; q < 4; ++q) baseline[q] = Drain(s.sinks[q]);
+      }
+      ASSERT_FALSE(baseline[0].empty());
+      ASSERT_FALSE(baseline[2].empty());
+      bool revoked = false;
+      for (const std::string& tag : baseline[0]) revoked |= tag[0] == '-';
+      ASSERT_TRUE(revoked) << "the workload must exercise revocations";
+
+      // A cut before, at and after the departure (the forming member's
+      // departure only before and after, to bound the suite's time).
+      std::vector<size_t> cuts = {total / 4, 3 * total / 4};
+      if (leaver == 1) cuts.push_back(leave);
+      for (size_t cut : cuts) {
+        SCOPED_TRACE("cut=" + std::to_string(cut));
+        const std::string dir =
+            FreshDir(std::to_string(num_threads) + "_" +
+                     std::to_string(leaver) + "_" + std::to_string(cut));
+        std::vector<std::string> prefix[4];
+        {
+          SharedSession s1 = MakeSharedSession(workload, num_threads);
+          Pump(s1.service.get(), std::min(cut, leave));
+          if (cut >= leave) {
+            Leave(s1, leaver);
+            Pump(s1.service.get(), cut - leave);
+          }
+          ASSERT_TRUE(s1.service->CheckpointTo(dir).ok());
+          for (int q = 0; q < 4; ++q) prefix[q] = Drain(s1.sinks[q]);
+          ASSERT_TRUE(s1.service->PumpAttachedSources(40).ok());
+        }  // crash
+
+        // Replay the registration sequence, deregistrations before the
+        // cut included, then restore and pump the tail.
+        SharedSession s2 = MakeSharedSession(workload, num_threads);
+        if (cut >= leave) Leave(s2, leaver);
+        auto report = s2.service->RestoreFrom(dir);
+        ASSERT_TRUE(report.ok()) << report.status().ToString();
+        if (cut < leave) {
+          Pump(s2.service.get(), leave - cut);
+          Leave(s2, leaver);
+        }
+        ASSERT_TRUE(s2.service->PumpAttachedSources().ok());
+        s2.service->Finish();
+        for (int q = 0; q < 4; ++q) {
+          SCOPED_TRACE("query " + std::to_string(q));
+          std::vector<std::string> got = prefix[q];
+          for (std::string& tag : Drain(s2.sinks[q])) {
+            got.push_back(std::move(tag));
+          }
+          EXPECT_EQ(got, baseline[q]);
+        }
+      }
+    }
+  }
+}
+
+// Six identical-pattern queries, alternately keyed and unkeyed: q0/q1
+// registered up front, q2..q5 after `join` events (so q2/q4 and q3/q5
+// form two new groups apart from q0 and q1), and q4 (a joiner) and q3
+// (a forming member) leaving after `leave` events.
+struct StaggeredSession {
+  std::unique_ptr<CepService> service;
+  CollectingSink sinks[6];
+  std::vector<QueryHandle> handles;
+};
+
+std::unique_ptr<StaggeredSession> MakeStaggeredSession(
+    const DeltaWorkload& workload, size_t num_threads) {
+  auto s = std::make_unique<StaggeredSession>();
+  ServiceOptions options;
+  options.history = &workload.history;
+  options.num_types = workload.registry.size();
+  options.num_threads = num_threads;
+  s->service = CepService::Create(options).value();
+  CEPJOIN_CHECK_OK(s->service->AttachSource(
+      std::make_unique<EventStreamSource>(&workload.delta)));
+  return s;
+}
+
+void RegisterStaggered(StaggeredSession& s, const DeltaWorkload& workload,
+                       int from, int to) {
+  for (int q = from; q < to; ++q) {
+    s.handles.push_back(s.service
+                            ->Register(QuerySpec::Simple(workload.pattern)
+                                           .WithName("q" + std::to_string(q))
+                                           .Keyed(q % 2 == 0)
+                                           .WithSink(&s.sinks[q]))
+                            .value());
+  }
+}
+
+void LeaveStaggered(StaggeredSession& s) {
+  CEPJOIN_CHECK_OK(s.handles[4].Deregister());
+  CEPJOIN_CHECK_OK(s.handles[3].Deregister());
+}
+
+TEST_F(ServiceCheckpointTest, RestoreSplitsGroupsTheReplayMerges) {
+  // The replay registers every query before the first event, so it
+  // groups all identical ones; the checkpointed run served them from
+  // three engine sets per host kind. Restore must re-form the
+  // checkpoint's groups (including a departed member's place in its
+  // group, which decides who receives the group's buffered matches).
+  DeltaWorkload workload = MakeDeltaWorkload(/*seed=*/23);
+  const size_t total = workload.delta.size();
+  const size_t join = total / 4;
+  const size_t leave = total / 2;
+  for (size_t num_threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(num_threads));
+    std::vector<std::string> baseline[6];
+    {
+      auto s = MakeStaggeredSession(workload, num_threads);
+      RegisterStaggered(*s, workload, 0, 2);
+      Pump(s->service.get(), join);
+      RegisterStaggered(*s, workload, 2, 6);
+      Pump(s->service.get(), leave - join);
+      LeaveStaggered(*s);
+      ASSERT_TRUE(s->service->PumpAttachedSources().ok());
+      s->service->Finish();
+      for (int q = 0; q < 6; ++q) baseline[q] = Drain(s->sinks[q]);
+    }
+    for (int q = 0; q < 6; ++q) ASSERT_FALSE(baseline[q].empty()) << q;
+
+    for (size_t cut : {(join + leave) / 2, (leave + total) / 2}) {
+      SCOPED_TRACE("cut=" + std::to_string(cut));
+      const std::string dir =
+          FreshDir(std::to_string(num_threads) + "_" + std::to_string(cut));
+      std::vector<std::string> prefix[6];
+      {
+        auto s1 = MakeStaggeredSession(workload, num_threads);
+        RegisterStaggered(*s1, workload, 0, 2);
+        Pump(s1->service.get(), join);
+        RegisterStaggered(*s1, workload, 2, 6);
+        Pump(s1->service.get(), std::min(cut, leave) - join);
+        if (cut >= leave) {
+          LeaveStaggered(*s1);
+          Pump(s1->service.get(), cut - leave);
+        }
+        ASSERT_TRUE(s1->service->CheckpointTo(dir).ok());
+        for (int q = 0; q < 6; ++q) prefix[q] = Drain(s1->sinks[q]);
+        ASSERT_TRUE(s1->service->PumpAttachedSources(40).ok());
+      }  // crash
+
+      auto s2 = MakeStaggeredSession(workload, num_threads);
+      RegisterStaggered(*s2, workload, 0, 6);
+      if (cut >= leave) LeaveStaggered(*s2);
+      auto report = s2->service->RestoreFrom(dir);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      if (cut < leave) {
+        Pump(s2->service.get(), leave - cut);
+        LeaveStaggered(*s2);
+      }
+      ASSERT_TRUE(s2->service->PumpAttachedSources().ok());
+      s2->service->Finish();
+      for (int q = 0; q < 6; ++q) {
+        SCOPED_TRACE("query " + std::to_string(q));
+        std::vector<std::string> got = prefix[q];
+        for (std::string& tag : Drain(s2->sinks[q])) {
+          got.push_back(std::move(tag));
+        }
+        EXPECT_EQ(got, baseline[q]);
+      }
+    }
+  }
+}
+
+TEST_F(ServiceCheckpointTest, RestoreRefusesGroupOfDifferentSpecs) {
+  // Two identical queries shared one engine set at the checkpoint; the
+  // replay registers the second with another seed under the same name.
+  // No grouping of this service can reproduce the checkpoint's.
+  DeltaWorkload workload = MakeDeltaWorkload(5);
+  const std::string dir = FreshDir("specs");
+  ServiceOptions options;
+  options.history = &workload.history;
+  options.num_types = workload.registry.size();
+  auto spec = [&](const char* name, CollectingSink* sink) {
+    return QuerySpec::Simple(workload.pattern)
+        .WithName(name)
+        .Keyed()
+        .WithSink(sink);
+  };
+  CollectingSink a1, b1, a2, b2;
+  {
+    auto service = CepService::Create(options).value();
+    ASSERT_TRUE(service->Register(spec("a", &a1)).ok());
+    ASSERT_TRUE(service->Register(spec("b", &b1)).ok());
+    ASSERT_TRUE(service
+                    ->AttachSource(
+                        std::make_unique<EventStreamSource>(&workload.delta))
+                    .ok());
+    ASSERT_TRUE(service->PumpAttachedSources(50).ok());
+    ASSERT_TRUE(service->CheckpointTo(dir).ok());
+  }
+  auto service = CepService::Create(options).value();
+  ASSERT_TRUE(service->Register(spec("a", &a2)).ok());
+  ASSERT_TRUE(service->Register(spec("b", &b2).WithSeed(99)).ok());
+  ASSERT_TRUE(service
+                  ->AttachSource(
+                      std::make_unique<EventStreamSource>(&workload.delta))
+                  .ok());
+  auto report = service->RestoreFrom(dir);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(report.status().message().find("cannot rebuild"),
+            std::string::npos)
+      << report.status().message();
+}
+
+TEST_F(ServiceCheckpointTest, VersionTwoPayloadIsDataLoss) {
+  // A well-formed checkpoint in the version-2 layout, whose query
+  // sections named no sharing group: restore must refuse it by version
+  // instead of misreading every section after the first.
+  DeltaWorkload workload = MakeDeltaWorkload(5);
+  const std::string dir = FreshDir("v2");
+  EngineStateWriter outer;
+  SnapshotWriter& p = outer.payload();
+  p.U32(2);  // payload version
+  p.U64(2);  // queries ever registered
+  p.U8(0);   // single-threaded host
+  p.U8(1);   // attached-source state follows
+  p.U64(0);  // next merge serial
+  PartitionSequencer().SaveTo(&p);
+  p.U8(1);  // an (empty) retraction ledger
+  RetractionLedger().SaveTo(&p);
+  p.U64(1);  // one attached source: positional, offset 0, not exhausted
+  p.U8(1);
+  p.U64(0);
+  p.U8(0);
+  p.U64(2);  // two query sections, version-2 shape: no group id
+  for (uint64_t id = 0; id < 2; ++id) {
+    p.U64(id);
+    p.Str(id == 0 ? "keyed" : "unkeyed");
+    p.U8(id == 0 ? 1 : 0);  // keyed
+    p.U8(1);                // active
+    p.U8(0);                // not sharded
+    outer.WriteCounters(EngineCounters{});
+    if (id == 0) {
+      p.U64(0);  // no partition engines yet
+    } else {
+      p.U8(0);  // no live engine
+    }
+  }
+  {
+    CheckpointStore store(dir);
+    ASSERT_TRUE(store.Open().ok());
+    ASSERT_TRUE(store.WriteCheckpoint(outer.Finish()).ok());
+  }
+  Session s = MakeSession(workload, 1);
+  auto report = s.service->RestoreFrom(dir);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(report.status().message().find("version 2"), std::string::npos)
+      << report.status().message();
 }
 
 }  // namespace
